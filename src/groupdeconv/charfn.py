@@ -9,7 +9,7 @@ derivatives scale with the spread of Y rather than with its location).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class CfEvaluation:
     dphi_centered: np.ndarray
     n: int | None
     group_size: float
-    sample_mean: float = field(default=0.0)
 
     @property
     def phi(self) -> np.ndarray:
@@ -95,10 +94,6 @@ class CfEvaluation:
     def abs_phi(self) -> np.ndarray:
         """|phi_hat(u)|, unaffected by the recentring factor."""
         return np.abs(self.phi_centered)
-
-    def full_points(self) -> np.ndarray:
-        p = self.grid.points
-        return np.concatenate([-p[:0:-1], p])
 
     def full_phi(self) -> np.ndarray:
         """phi_hat on the symmetric grid; negative half by conjugation."""
@@ -120,7 +115,6 @@ class CfEvaluation:
             dphi_centered=np.asarray(cf_prime(u), dtype=complex),
             n=None,
             group_size=float(group_size),
-            sample_mean=0.0,
         )
 
 
@@ -171,5 +165,4 @@ def evaluate_grid(
         dphi_centered=dphi_c,
         n=n,
         group_size=sample.group_size,
-        sample_mean=c,
     )

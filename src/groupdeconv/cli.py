@@ -136,6 +136,20 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_list(text):
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+_CONFIG_KEYS = {
+    "laws": lambda text: text.split(","),
+    "ns": _int_list,
+    "group_sizes": _int_list,
+    "reps": int,
+    "eta": float,
+    "seed": int,
+}
+
+
 def _parse_config_file(path) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment; lists are comma-separated."""
     out = {}
@@ -149,32 +163,34 @@ def _parse_config_file(path) -> dict:
                 line=lineno,
             )
         key, value = (part.strip() for part in line.split("=", 1))
-        out[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key not in _CONFIG_KEYS:
+            raise DataFormatError(
+                f"{path}:{lineno}: unknown key '{key}' = '{value}' "
+                f"(known: {', '.join(_CONFIG_KEYS)})",
+                line=lineno,
+            )
+        try:
+            out[key] = _CONFIG_KEYS[key](value)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}:{lineno}: bad value for '{key}' (got '{value}')", line=lineno
+            ) from None
     return out
-
-
-def _int_list(text):
-    return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
 
 
 def cmd_simulate(args) -> int:
     cfg = _parse_config_file(args.config) if args.config else {}
 
-    law_names = args.law or (
-        str(cfg["laws"]).split(",") if "laws" in cfg else list(benchmark_laws())
-    )
+    law_names = args.law or cfg.get("laws", list(benchmark_laws()))
     laws = tuple(law_from_name(name) for name in law_names)
-    ns = tuple(args.n) if args.n else (_int_list(cfg["ns"]) if "ns" in cfg else (1000, 5000, 10000))
-    ks = (
-        tuple(args.group_size)
-        if args.group_size
-        else (_int_list(cfg["group_sizes"]) if "group_sizes" in cfg else (5, 10, 20, 50))
-    )
-    reps = args.reps if args.reps is not None else int(cfg.get("reps", 500))
+    ns = tuple(args.n) if args.n else cfg.get("ns", (1000, 5000, 10000))
+    ks = tuple(args.group_size) if args.group_size else cfg.get("group_sizes", (5, 10, 20, 50))
+    reps = args.reps if args.reps is not None else cfg.get("reps", 500)
     if args.quick:
         reps = min(reps, 50)
-    eta = args.eta if args.eta is not None else float(cfg.get("eta", DEFAULT_ETA))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 20130528))
+    eta = args.eta if args.eta is not None else cfg.get("eta", DEFAULT_ETA)
+    seed = args.seed if args.seed is not None else cfg.get("seed", 20130528)
 
     grid = ScenarioGrid(
         laws=laws, ns=ns, group_sizes=ks, replications=reps, eta=eta, master_seed=seed

@@ -24,7 +24,7 @@ from .bandwidth import (
     threshold_value,
 )
 from .charfn import UGrid, evaluate_grid
-from .errors import GroupDeconvError
+from .errors import GroupDeconvError, ParameterError
 from .inversion import XGrid
 from .rootlog import feasible_root
 from .samples import TestLaw, benchmark_laws, generate_grouped
@@ -79,11 +79,15 @@ class ScenarioGrid:
 
     def __post_init__(self):
         if self.replications < 1:
-            raise GroupDeconvError("replications must be >= 1")
+            raise ParameterError(f"replications must be >= 1 (got {self.replications})")
         if any(n < 2 for n in self.ns):
-            raise GroupDeconvError("every n must be >= 2")
+            raise ParameterError(f"every n must be >= 2 (got {list(self.ns)})")
         if any(k < 1 for k in self.group_sizes):
-            raise GroupDeconvError("every group size must be >= 1")
+            raise ParameterError(
+                f"every group size must be >= 1 (got {list(self.group_sizes)})"
+            )
+        if not self.eta > 1:
+            raise ParameterError(f"eta must be > 1 (got {self.eta})")
 
     @property
     def cells(self) -> list:
@@ -183,7 +187,12 @@ def resolve_workers(workers: int | None = None) -> int:
         return max(1, int(workers))
     env = os.environ.get(THREADS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ParameterError(
+                f"{THREADS_ENV} must be an integer (got '{env}')"
+            ) from None
     return 1
 
 

@@ -7,8 +7,9 @@ The density estimate with spectral cutoff m is
 
 real-valued by conjugate symmetry.  The u-integral is a composite trapezoid
 on the root's grid restricted to [0, m] (the cutoff snaps down to the last
-grid point <= m).  Inversion is direct quadrature per x-point, so the
-x-grid is completely decoupled from the u-grid.
+grid point <= m).  On the uniform x-grid the quadrature sums for every
+x-point, and for a batch of cutoffs, are one chirp-z transform evaluated
+by FFT; each x-point's value is still the same u-quadrature.
 """
 from __future__ import annotations
 
@@ -133,38 +134,26 @@ class DensityEstimate:
         )
 
 
-def _phase_matrix(x: np.ndarray, n_modes: int, step: float) -> np.ndarray:
-    """E[j, k] = exp(-i * x_j * k * step) built by cumulative products."""
-    base = np.exp(-1j * step * x)
-    out = np.empty((x.size, n_modes + 1), dtype=complex)
-    out[:, 0] = 1.0
-    if n_modes >= 1:
-        out[:, 1:] = base[:, None]
-        np.cumprod(out[:, 1:], axis=1, out=out[:, 1:])
-    return out
+def _chirp_z(a: np.ndarray, step: float, xgrid: XGrid) -> np.ndarray:
+    """sum_k a[c, k] exp(-i x_j k step) for every row c and grid point x_j.
 
-
-def _weighted_phase_sum(
-    x: np.ndarray, weighted_vals: np.ndarray, step: float, chunk: int = 4096
-) -> np.ndarray:
-    """sum_k weighted_vals[k] * exp(-i x k step), blocked to bound memory."""
-    n_modes = weighted_vals.size - 1
-    base = np.exp(-1j * step * x)
-    carry = np.ones(x.size, dtype=complex)
-    acc = np.zeros(x.size, dtype=complex)
-    k0 = 0
-    while k0 <= n_modes:
-        b = min(chunk, n_modes - k0 + 1)
-        block = np.empty((x.size, b), dtype=complex)
-        block[:, 0] = carry
-        if b > 1:
-            block[:, 1:] = base[:, None]
-            np.cumprod(block[:, 1:], axis=1, out=block[:, 1:])
-            block[:, 1:] *= carry[:, None]
-        acc += block @ weighted_vals[k0 : k0 + b]
-        carry = block[:, -1] * base
-        k0 += b
-    return acc
+    On the uniform grid x_j = x_min + j dx this is a chirp-z transform
+    (Bluestein 1970): with theta = dx * step, the identity
+    jk = (j^2 + k^2 - (j - k)^2) / 2 turns the sum into a convolution with
+    the chirp exp(i theta n^2 / 2), done by FFT in O((J + K) log(J + K)) per
+    row instead of O(J K).
+    """
+    n_modes = a.shape[1]
+    count = xgrid.count
+    theta = xgrid.spacing * step
+    size = 1 << (count + n_modes - 2).bit_length()  # no wrap-around: >= J + K - 1
+    k = np.arange(n_modes, dtype=float)
+    pre = np.exp(-1j * (xgrid.x_min * step * k + 0.5 * theta * k**2))
+    n = np.arange(-(n_modes - 1), count, dtype=float)
+    chirp = np.fft.fft(np.exp(0.5j * theta * n**2), size)
+    conv = np.fft.ifft(np.fft.fft(a * pre, size, axis=1) * chirp, axis=1)
+    j = np.arange(count, dtype=float)
+    return conv[:, n_modes - 1 : n_modes - 1 + count] * np.exp(-0.5j * theta * j**2)
 
 
 def _cutoff_index(root: RootEstimate, m: float) -> int:
@@ -180,19 +169,9 @@ def _cutoff_index(root: RootEstimate, m: float) -> int:
 
 def invert(root: RootEstimate, m: float, xgrid: XGrid) -> DensityEstimate:
     """Spectral-cutoff inversion of the root estimate at cutoff m."""
-    k_m = _cutoff_index(root, m)
-    x = xgrid.points
-    step = root.grid.step
-    if k_m < 1:
-        values = np.zeros(xgrid.count)
-    else:
-        vals = root.values()[: k_m + 1]
-        weights = np.full(k_m + 1, step)
-        weights[0] = weights[-1] = step / 2.0
-        values = _weighted_phase_sum(x, vals * weights, step).real / math.pi
     return DensityEstimate(
         xgrid=xgrid,
-        values=values,
+        values=invert_prefixes(root, [m], xgrid)[0],
         cutoff_m=m,
         cutoff_rule={"rule": "fixed"},
         group_size=root.group_size,
@@ -201,28 +180,21 @@ def invert(root: RootEstimate, m: float, xgrid: XGrid) -> DensityEstimate:
 
 
 def invert_prefixes(root: RootEstimate, ms, xgrid: XGrid) -> list[np.ndarray]:
-    """f_m values for several cutoffs sharing one root, cheaply.
+    """f_m values for several cutoffs sharing one root, in one batch.
 
-    Equivalent to calling invert() per cutoff (up to float summation order):
-    the trapezoid over [0, m'] is the prefix sum of per-interval trapezoid
-    contributions, so all cutoffs come out of one cumulative pass.
+    Each cutoff contributes one row of trapezoid weights over [0, m]
+    (all zero when m is under one grid step); the weighted root values of
+    every row go through one chirp-z transform.
     """
     ks = [_cutoff_index(root, m) for m in ms]
-    k_max = max(ks)
-    x = xgrid.points
     step = root.grid.step
-    vals = root.values()[: k_max + 1]
-    E = _phase_matrix(x, k_max, step)
-    integrand = E * vals[None, :]
-    segments = 0.5 * step * (integrand[:, :-1] + integrand[:, 1:])
-    prefix = np.cumsum(segments.real, axis=1)  # prefix[:, k-1] = int_0^{u_k}
-    out = []
-    for k in ks:
-        if k < 1:
-            out.append(np.zeros(xgrid.count))
-        else:
-            out.append(prefix[:, k - 1] / math.pi)
-    return out
+    weights = np.zeros((len(ks), max(ks) + 1))
+    for row, k in zip(weights, ks):
+        if k >= 1:
+            row[: k + 1] = step
+            row[0] = row[k] = step / 2.0
+    sums = _chirp_z(weights * root.values()[: weights.shape[1]], step, xgrid)
+    return list(sums.real / math.pi)
 
 
 def _values_on(f, xgrid: XGrid) -> np.ndarray:

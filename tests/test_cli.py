@@ -197,6 +197,46 @@ def test_simulate_bad_config_line(tmp_path, capsys):
     assert "key = value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--n", 1), ("--reps", 0), ("--group-size", 0), ("--eta", 0.5)]
+)
+def test_simulate_bad_grid_value_is_parameter_error(tmp_path, capsys, flag, value):
+    args = {"--n": 400, "--reps": 2, "--group-size": 2} | {flag: value}
+    argv = ["simulate", "--law", "normal", "--out", tmp_path / "x"]
+    for name, v in args.items():
+        argv += [name, v]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(value) in err.split("(got", 1)[1]
+
+
+@pytest.mark.parametrize(
+    "line, named",
+    [("reps = ten", ["bad value for 'reps'", "'ten'", ":2:"]),
+     ("n = 100", ["unknown key 'n'", "'100'", ":2:"])],
+)
+def test_simulate_config_rejects_bad_entries(tmp_path, capsys, line, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"laws = normal\n{line}\n")
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    for text in named:
+        assert text in err
+
+
+def test_simulate_bad_thread_count_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GROUPDECONV_THREADS", "abc")
+    code = run_cli(
+        ["simulate", "--law", "normal", "--n", 400, "--group-size", 2,
+         "--reps", 2, "--out", tmp_path / "x"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "GROUPDECONV_THREADS" in err
+    assert "'abc'" in err
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 # ---------------------------------------------------------------------------

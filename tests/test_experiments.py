@@ -10,7 +10,7 @@ from groupdeconv.experiments import (
     run_grid,
     run_replication,
 )
-from groupdeconv.errors import GroupDeconvError
+from groupdeconv.errors import GroupDeconvError, ParameterError
 from groupdeconv.samples import Gamma, Laplace, Normal, benchmark_laws
 
 
@@ -137,6 +137,9 @@ def test_resolve_workers_env(monkeypatch):
     assert resolve_workers(4) == 4
     monkeypatch.setenv("GROUPDECONV_THREADS", "3")
     assert resolve_workers() == 3
+    monkeypatch.setenv("GROUPDECONV_THREADS", "abc")
+    with pytest.raises(ParameterError, match="GROUPDECONV_THREADS.*'abc'"):
+        resolve_workers()
 
 
 def test_mean_cutoff_decreases_with_group_size():

@@ -114,23 +114,59 @@ def test_k1_pipeline_reduces_to_direct_inversion():
 
 
 def test_invert_unchanged_under_xgrid_refinement():
-    # per-x quadrature: values at shared points are identical by construction
+    # each x-point gets the same u-quadrature on any x-grid, so shared points
+    # agree up to the rounding of the FFT-based evaluation
     root = analytic_root(Normal(2.0, 1.0), 4.0, 0.01)
     coarse = invert(root, 4.0, XGrid(-3.0, 7.0, 101))
     fine = invert(root, 4.0, XGrid(-3.0, 7.0, 201))
     np.testing.assert_allclose(coarse.values, fine.values[::2], atol=1e-12)
 
 
-def test_invert_prefixes_match_single_inversions():
+def dense_inversion(root, m, xgrid):
+    """Reference f_m: the trapezoid u-sum at every x-point, O(J K)."""
+    k = root.grid.index_of(m)
+    if k < 1:
+        return np.zeros(xgrid.count)
+    weights = np.full(k + 1, root.grid.step)
+    weights[0] = weights[-1] = root.grid.step / 2
+    phases = np.exp(-1j * np.outer(xgrid.points, root.grid.points[: k + 1]))
+    return (phases @ (root.values()[: k + 1] * weights)).real / math.pi
+
+
+def gamma_sample_root(step):
     s = generate_grouped(Gamma(6.0, 3.0), 2000, 5, seed=12)
-    cf = evaluate_grid(s, UGrid(2.0, 0.005))
-    root = distinguished_root(cf, 2.0)
-    xg = XGrid(-1.0, 5.0, 128)
-    ms = [0.5, 1.0, 1.7]
+    return distinguished_root(evaluate_grid(s, UGrid(2.0, step)), 2.0)
+
+
+PREFIX_CASES = {
+    "more-u-modes-than-x": (
+        lambda: gamma_sample_root(2.0 / 4096), XGrid(-1.0, 5.0, 128), [0.5, 1.0, 1.7, 2.0]
+    ),
+    "fewer-u-modes-than-x": (
+        lambda: gamma_sample_root(0.01), XGrid(-1.0, 5.0, 1024), [0.5, 1.0, 1.7]
+    ),
+    "x-far-from-zero": (
+        lambda: analytic_root(Normal(1000.0, 1.0), 4.0, 0.01),
+        XGrid(995.0, 1005.0, 256),
+        [1.0, 4.0],
+    ),
+    "cutoff-under-one-step": (
+        lambda: gamma_sample_root(0.005), XGrid(-1.0, 5.0, 128), [0.004, 0.5, 1.0, 1.7]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PREFIX_CASES)
+def test_invert_prefixes_match_single_inversions(case):
+    make_root, xg, ms = PREFIX_CASES[case]
+    root = make_root()
     batch = invert_prefixes(root, ms, xg)
     for m, vals in zip(ms, batch):
-        single = invert(root, m, xg)
-        np.testing.assert_allclose(vals, single.values, atol=1e-10)
+        reference = dense_inversion(root, m, xg)
+        # zero tolerance for a cutoff under one step: the values must be exact zeros
+        tol = 1e-12 * np.abs(reference).max()
+        np.testing.assert_allclose(vals, reference, rtol=0, atol=tol)
+        np.testing.assert_allclose(invert(root, m, xg).values, reference, rtol=0, atol=tol)
 
 
 def test_monotone_truncation_on_analytic_input():
