@@ -26,7 +26,6 @@ from .errors import (
     ParameterError,
 )
 from .experiments import (
-    ExperimentConfig,
     ReplicationResult,
     RiskReport,
     ScenarioGrid,

@@ -18,16 +18,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .charfn import UGrid, ecf_at, evaluate_grid
+from .charfn import CfEvaluation, UGrid, ecf_at, evaluate_grid
 from .errors import LevelNotReached, ParameterError
-from .inversion import XGrid, default_xgrid, invert_prefixes, l2_distance
-from .rootlog import RootEstimate, default_step, feasible_root
+from .inversion import XGrid, default_xgrid, invert_prefixes
+from .rootlog import MAX_STEP, RootEstimate, default_step, feasible_root
 from .samples import GroupedSample, TestLaw
 
 __all__ = [
+    "K1_CAP",
     "CutoffRecord",
     "threshold_value",
+    "scan_grid",
     "adaptive_cutoff",
     "oracle_risks",
     "oracle_cutoff",
@@ -35,8 +38,8 @@ __all__ = [
     "diagnostic_threshold_u",
 ]
 
-BISECTION_TOL = 1e-6
-DEFAULT_K1_CAP = 1000.0
+# For K == 1 the cap n^{1/K} = n would be impractically large.
+K1_CAP = 1000.0
 
 
 @dataclass(frozen=True)
@@ -74,70 +77,60 @@ def threshold_value(n: int, group_size: float, eta: float) -> float:
     ) / math.sqrt(n)
 
 
-def cutoff_cap(n: int, group_size: float, k1_cap: float = DEFAULT_K1_CAP) -> float:
-    """n^{1/K}, replaced by a configurable cap when K == 1 (n itself would
-    be impractically large)."""
+def cutoff_cap(n: int, group_size: float) -> float:
+    """n^{1/K}, replaced by K1_CAP when K == 1."""
     if group_size == 1.0:
-        return float(min(n, k1_cap))
+        return float(min(n, K1_CAP))
     return float(n) ** (1.0 / group_size)
 
 
-def _bisect_crossing(f, lo: float, hi: float, tol: float = BISECTION_TOL) -> float:
-    """First zero crossing of f (positive at lo, <= 0 at hi) to ``tol``."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def scan_grid(sample: GroupedSample) -> UGrid:
+    """The adaptive rule's scan grid: step MAX_STEP, one step past the cap."""
+    cap = cutoff_cap(sample.n, sample.group_size)
+    return UGrid(u_max=cap + MAX_STEP, step=MAX_STEP)
 
 
 def adaptive_cutoff(
-    sample: GroupedSample,
-    eta: float = 1.1,
-    scan_resolution: float = 0.01,
-    k1_cap: float = DEFAULT_K1_CAP,
+    sample: GroupedSample, eta: float = 1.1, ev: CfEvaluation | None = None
 ) -> CutoffRecord:
-    """Data-driven cutoff: scan |phi_hat| at ``scan_resolution``, refine the
-    first threshold crossing by bisection, cap at n^{1/K}.
+    """Data-driven cutoff: scan |phi_hat| on ``scan_grid(sample)``, refine the
+    first threshold crossing with Brent's method, cap at n^{1/K}.
 
-    Dips narrower than the scan resolution can be missed between grid
-    points; |phi_hat| is Lipschitz with constant mean|Y|, so the default
-    resolution is adequate for anything but extreme scales.
+    ``ev`` is an evaluation of the sample on ``scan_grid(sample)`` to reuse,
+    with or without the derivative; without it |phi_hat| alone is evaluated.
     """
-    if scan_resolution <= 0:
-        raise ParameterError(f"scan resolution must be > 0 (got {scan_resolution})")
     t = threshold_value(sample.n, sample.group_size, eta)
-    cap = cutoff_cap(sample.n, sample.group_size, k1_cap)
-    grid = UGrid(u_max=max(cap, scan_resolution), step=scan_resolution)
-    ev = evaluate_grid(sample, grid, with_derivative=False)
-    record = _adaptive_from_scan(ev.abs_phi, grid, sample, t, cap, eta, scan_resolution)
-    return record
-
-
-def _adaptive_from_scan(abs_phi, grid, sample, t, cap, eta, scan_resolution):
-    below = np.flatnonzero(abs_phi <= t)
+    cap = cutoff_cap(sample.n, sample.group_size)
+    if ev is None:
+        ev = evaluate_grid(sample, scan_grid(sample), with_derivative=False)
     params = {"eta": eta, "threshold": t, "cap": cap}
-    if below.size == 0:
-        return CutoffRecord(cap, "adaptive", False, scan_resolution, params)
+    below = np.flatnonzero(ev.abs_phi <= t)
+    u = ev.grid.points
+    if below.size == 0 or u[below[0]] >= cap:
+        return CutoffRecord(cap, "adaptive", False, MAX_STEP, params)
     k = int(below[0])
-    if grid.points[k] >= cap:
-        return CutoffRecord(cap, "adaptive", False, scan_resolution, params)
     if k == 0:
         # |phi_hat(0)| = 1 <= t only for degenerate thresholds (t >= 1)
-        return CutoffRecord(0.0, "adaptive", True, scan_resolution, params)
-    value = _bisect_crossing(
-        lambda u: abs(ecf_at(sample, u)) - t, grid.points[k - 1], grid.points[k]
+        return CutoffRecord(0.0, "adaptive", True, MAX_STEP, params)
+    # The sample goes in through ``args``, not a closure: brentq wraps the
+    # function in a closure that refers to itself, and a closure over the
+    # sample would keep it alive until the cyclic garbage collector runs.
+    value = brentq(
+        lambda v, s, level: abs(ecf_at(s, v)) - level,
+        u[k - 1],
+        u[k],
+        args=(sample, t),
+        xtol=1e-12,
     )
-    return CutoffRecord(min(value, cap), "adaptive", True, scan_resolution, params)
+    return CutoffRecord(min(value, cap), "adaptive", True, MAX_STEP, params)
 
 
-def default_oracle_grid(u_hi: float, u_lo: float = 0.25, size: int = 60) -> np.ndarray:
-    """Log-spaced cutoff candidates; the cutoff acts multiplicatively."""
-    if u_hi <= u_lo:
+def default_oracle_grid(u_hi: float) -> np.ndarray:
+    """60 log-spaced cutoff candidates from 0.25 to ``u_hi`` (just ``u_hi``
+    when it is at most 0.25); the cutoff acts multiplicatively."""
+    if u_hi <= 0.25:
         return np.asarray([u_hi])
-    return np.geomspace(u_lo, u_hi, size)
+    return np.geomspace(0.25, u_hi, 60)
 
 
 def oracle_risks(
@@ -156,9 +149,7 @@ def oracle_risks(
     snapped = np.array([k * step for k in ks])
     estimates = invert_prefixes(root, snapped, xgrid)
     target = density(xgrid.points) if callable(density) else np.asarray(density)
-    risks = np.array(
-        [l2_distance(target, vals, xgrid) for vals in estimates]
-    )
+    risks = np.trapezoid((estimates - target) ** 2, dx=xgrid.spacing, axis=1)
     return snapped, risks
 
 
@@ -167,7 +158,6 @@ def oracle_cutoff(
     sample: GroupedSample,
     m_grid=None,
     xgrid: XGrid | None = None,
-    k1_cap: float = DEFAULT_K1_CAP,
 ) -> CutoffRecord:
     """argmin_m ||f - f_m||^2 over the cutoff grid, ties toward smaller m.
 
@@ -175,7 +165,7 @@ def oracle_cutoff(
     the grid is truncated at the last feasible cutoff and the truncation
     point is recorded in the result's params.
     """
-    cap = cutoff_cap(sample.n, sample.group_size, k1_cap)
+    cap = cutoff_cap(sample.n, sample.group_size)
     if m_grid is not None and len(m_grid) == 0:
         raise ParameterError("m_grid must be nonempty with positive entries")
     u_hi = cap if m_grid is None else float(np.max(m_grid))
@@ -239,4 +229,4 @@ def diagnostic_threshold_u(
             raise LevelNotReached(
                 f"|phi(u)|^{group_size:g} stays above {level:.3e} up to u = {u_max:g}"
             )
-    return _bisect_crossing(lambda u: modulus_pow_k(u) - level, lo, hi)
+    return brentq(lambda u: modulus_pow_k(u) - level, lo, hi, xtol=1e-12)

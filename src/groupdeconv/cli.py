@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,20 +35,20 @@ from .errors import (
     ParameterError,
 )
 from .experiments import ScenarioGrid, run_grid
-from .inversion import XGrid, default_xgrid, invert
-from .rootlog import default_step, distinguished_root
+from .inversion import X_COUNT, XGrid, default_xgrid, invert
+from .rootlog import MAX_STEP, default_step, distinguished_root
 from .samples import benchmark_laws, law_from_name, load_sample, true_cf
 
 DEFAULT_ETA = 1.1
-DEFAULT_SCAN_RESOLUTION = 0.01
 
 
 def _defaults_metadata(args) -> dict:
     """Every tunable that shaped the output, echoed into the result files."""
+    count = getattr(args, "x_count", X_COUNT)
     return {
         "eta": getattr(args, "eta", DEFAULT_ETA),
-        "scan_resolution": DEFAULT_SCAN_RESOLUTION,
-        "x_grid_policy": "center mean(Y)/K, half-width 8*sd(X), 1024 points",
+        "scan_resolution": MAX_STEP,
+        "x_grid_policy": f"center mean(Y)/K, half-width 8*sd(X), {count} points",
         "replications": getattr(args, "reps", None),
         "seed": getattr(args, "seed", None),
     }
@@ -82,15 +83,15 @@ def cmd_estimate(args) -> int:
     sample = load_sample(args.input, args.group_size)
     rule, fixed_m = _parse_cutoff_flag(args.cutoff)
 
-    if args.x_min is not None or args.x_max is not None or args.x_count != 1024:
+    if args.x_min is not None or args.x_max is not None:
         if args.x_min is None or args.x_max is None:
             raise ParameterError("--x-min and --x-max must be given together")
         xgrid = XGrid(args.x_min, args.x_max, args.x_count)
     else:
-        xgrid = default_xgrid(sample)
+        xgrid = default_xgrid(sample, args.x_count)
 
     if rule == "adaptive":
-        record = adaptive_cutoff(sample, args.eta, DEFAULT_SCAN_RESOLUTION)
+        record = adaptive_cutoff(sample, args.eta)
         m = record.value
         if m <= 0:
             raise ParameterError(
@@ -110,15 +111,10 @@ def cmd_estimate(args) -> int:
     grid = UGrid(u_max=m + step, step=step)
     ev = evaluate_grid(sample, grid)
     root = distinguished_root(ev, m)
-    est = invert(root, m, xgrid)
-
     cutoff_rule = record.as_dict() if record is not None else {"rule": "fixed"}
-    est = type(est)(
-        xgrid=est.xgrid,
-        values=est.values,
-        cutoff_m=m,
+    est = replace(
+        invert(root, m, xgrid),
         cutoff_rule=cutoff_rule | {"defaults": _defaults_metadata(args)},
-        group_size=sample.group_size,
         provenance={"n": sample.n, "source": str(args.input)},
     )
     out = Path(args.out)
@@ -295,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--law", default=None, help="law name (required for --cutoff oracle)")
     est.add_argument("--x-min", type=float, default=None)
     est.add_argument("--x-max", type=float, default=None)
-    est.add_argument("--x-count", type=int, default=1024)
+    est.add_argument("--x-count", type=int, default=X_COUNT)
     est.add_argument("--out", default="estimate", help="output path prefix")
     est.set_defaults(func=cmd_estimate)
 

@@ -17,20 +17,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandwidth import (
-    _adaptive_from_scan,
+    adaptive_cutoff,
     cutoff_cap,
     default_oracle_grid,
     oracle_risks,
-    threshold_value,
+    scan_grid,
 )
-from .charfn import UGrid, evaluate_grid
+from .charfn import evaluate_grid
 from .errors import GroupDeconvError, ParameterError
-from .inversion import XGrid
+from .inversion import XGrid, centred_xgrid
 from .rootlog import feasible_root
 from .samples import TestLaw, benchmark_laws, generate_grouped
 
 __all__ = [
-    "ExperimentConfig",
     "ScenarioGrid",
     "ReplicationResult",
     "RiskReport",
@@ -42,28 +41,6 @@ __all__ = [
 ]
 
 THREADS_ENV = "GROUPDECONV_THREADS"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Numerical policy shared by every replication of a study.
-
-    The frequency grid uses one step for both the threshold scan and the
-    root integration; 0.01 keeps the centred log-derivative quadrature
-    error orders of magnitude below the statistical error in every table
-    scenario while staying affordable.  The x-grid is built from the law's
-    exact mean and variance so risks are comparable across replications.
-    """
-
-    root_step: float = 0.01
-    xgrid_count: int = 1024
-    xgrid_half_width_sigmas: float = 8.0
-    oracle_grid_size: int = 60
-    oracle_m_min: float = 0.25
-    k1_cap: float = 1000.0
-
-
-DEFAULT_CONFIG = ExperimentConfig()
 
 
 @dataclass(frozen=True)
@@ -120,11 +97,10 @@ class ReplicationResult:
     threshold_hit: bool
 
 
-def law_xgrid(law: TestLaw, config: ExperimentConfig = DEFAULT_CONFIG) -> XGrid:
-    """Shared per-cell x-grid from the law's exact moments."""
-    sigma = math.sqrt(law.variance)
-    half = config.xgrid_half_width_sigmas * sigma
-    return XGrid(law.mean - half, law.mean + half, config.xgrid_count)
+def law_xgrid(law: TestLaw) -> XGrid:
+    """Shared per-cell x-grid from the law's exact moments, so risks are
+    comparable across replications."""
+    return centred_xgrid(law.mean, math.sqrt(law.variance))
 
 
 def run_replication(
@@ -133,19 +109,18 @@ def run_replication(
     group_size: int,
     eta: float = 1.1,
     seed=0,
-    config: ExperimentConfig = DEFAULT_CONFIG,
     xgrid: XGrid | None = None,
 ) -> ReplicationResult:
-    """One sample, both estimators, both risks (same sample, same x-grid)."""
-    sample = generate_grouped(law, n, group_size, seed)
-    step = config.root_step
-    cap = cutoff_cap(n, float(group_size), config.k1_cap)
-    grid = UGrid(u_max=cap + step, step=step)
-    ev = evaluate_grid(sample, grid)
+    """One sample, both estimators, both risks (same sample, same x-grid).
 
-    t = threshold_value(n, float(group_size), eta)
-    record = _adaptive_from_scan(ev.abs_phi, grid, sample, t, cap, eta, step)
+    One evaluation on the adaptive scan grid serves both the threshold scan
+    and the root, so the root's step is MAX_STEP.
+    """
+    sample = generate_grouped(law, n, group_size, seed)
+    ev = evaluate_grid(sample, scan_grid(sample))
+    record = adaptive_cutoff(sample, eta, ev)
     m_hat = record.value
+    step = ev.grid.step
     if m_hat < step:
         raise GroupDeconvError(
             f"adaptive cutoff {m_hat:.3g} is below one grid step; "
@@ -154,12 +129,10 @@ def run_replication(
 
     root, _violation = feasible_root(ev)
     if xgrid is None:
-        xgrid = law_xgrid(law, config)
+        xgrid = law_xgrid(law)
 
-    hi = min(cap, root.u_limit)
-    candidates = default_oracle_grid(
-        hi, u_lo=min(config.oracle_m_min, hi), size=config.oracle_grid_size
-    )
+    cap = cutoff_cap(n, sample.group_size)
+    candidates = default_oracle_grid(min(cap, root.u_limit))
     ms, risks = oracle_risks(root, law.pdf, np.append(candidates, m_hat), xgrid)
 
     k_hat = max(1, root.grid.index_of(min(m_hat, root.u_limit)))
@@ -198,14 +171,13 @@ def resolve_workers(workers: int | None = None) -> int:
 
 def _run_cell_block(args):
     """Worker entry: one block of replications for one cell."""
-    law, n, k, eta, master_seed, cell_idx, rep_indices, config = args
-    xgrid = law_xgrid(law, config)
+    law, n, k, eta, master_seed, cell_idx, rep_indices = args
+    xgrid = law_xgrid(law)
     out = []
     for rep in rep_indices:
         try:
             res = run_replication(
-                law, n, k, eta, seed=(master_seed, cell_idx, rep), config=config,
-                xgrid=xgrid,
+                law, n, k, eta, seed=(master_seed, cell_idx, rep), xgrid=xgrid
             )
             out.append(res)
         except GroupDeconvError as exc:
@@ -296,7 +268,6 @@ class RiskReport:
 
 def run_grid(
     grid: ScenarioGrid,
-    config: ExperimentConfig = DEFAULT_CONFIG,
     workers: int | None = None,
     block_size: int = 25,
 ) -> RiskReport:
@@ -322,7 +293,6 @@ def run_grid(
                     grid.master_seed,
                     cell_idx,
                     reps[start : start + block_size],
-                    config,
                 )
             )
 

@@ -27,7 +27,9 @@ from .samples import GroupedSample
 
 __all__ = [
     "XGrid",
+    "X_COUNT",
     "DensityEstimate",
+    "centred_xgrid",
     "default_xgrid",
     "invert",
     "invert_prefixes",
@@ -37,13 +39,17 @@ __all__ = [
 ]
 
 
+# Points on the default x-grid.
+X_COUNT = 1024
+
+
 @dataclass(frozen=True)
 class XGrid:
     """Uniform evaluation grid on [x_min, x_max] with ``count`` points."""
 
     x_min: float
     x_max: float
-    count: int = 1024
+    count: int = X_COUNT
 
     def __post_init__(self):
         if not (self.x_min < self.x_max):
@@ -62,18 +68,19 @@ class XGrid:
         return (self.x_max - self.x_min) / (self.count - 1)
 
 
-def default_xgrid(
-    sample: GroupedSample, count: int = 1024, half_width_sigmas: float = 8.0
-) -> XGrid:
-    """Data-driven grid: centred at mean(Y)/K with half-width 8 sd of X.
+def centred_xgrid(center: float, sigma: float, count: int = X_COUNT) -> XGrid:
+    """x-grid centred at the summand's mean with half-width 8 sd (``sigma``).
 
-    E[X] = E[Y]/K and Var(X) = Var(Y)/K, so this covers the summand's mass
-    for any of the benchmark-style laws.
+    Eight standard deviations cover the summand's mass for any of the
+    benchmark-style laws.
     """
-    center = sample.mean / sample.group_size
+    return XGrid(center - 8.0 * sigma, center + 8.0 * sigma, count)
+
+
+def default_xgrid(sample: GroupedSample, count: int = X_COUNT) -> XGrid:
+    """Data-driven grid: E[X] = E[Y]/K and Var(X) = Var(Y)/K from the sample."""
     sigma = math.sqrt(max(sample.variance, 1e-300) / sample.group_size)
-    half = half_width_sigmas * sigma
-    return XGrid(center - half, center + half, count)
+    return centred_xgrid(sample.mean / sample.group_size, sigma, count)
 
 
 @dataclass(frozen=True)
@@ -179,8 +186,8 @@ def invert(root: RootEstimate, m: float, xgrid: XGrid) -> DensityEstimate:
     )
 
 
-def invert_prefixes(root: RootEstimate, ms, xgrid: XGrid) -> list[np.ndarray]:
-    """f_m values for several cutoffs sharing one root, in one batch.
+def invert_prefixes(root: RootEstimate, ms, xgrid: XGrid) -> np.ndarray:
+    """f_m values for several cutoffs sharing one root, one row per cutoff.
 
     Each cutoff contributes one row of trapezoid weights over [0, m]
     (all zero when m is under one grid step); the weighted root values of
@@ -194,7 +201,7 @@ def invert_prefixes(root: RootEstimate, ms, xgrid: XGrid) -> list[np.ndarray]:
             row[: k + 1] = step
             row[0] = row[k] = step / 2.0
     sums = _chirp_z(weights * root.values()[: weights.shape[1]], step, xgrid)
-    return list(sums.real / math.pi)
+    return sums.real / math.pi
 
 
 def _values_on(f, xgrid: XGrid) -> np.ndarray:

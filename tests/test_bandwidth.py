@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from groupdeconv.bandwidth import (
     diagnostic_threshold_u,
     oracle_cutoff,
     oracle_risks,
+    scan_grid,
     threshold_value,
 )
 from groupdeconv.charfn import UGrid
@@ -71,7 +74,9 @@ def test_adaptive_crossing_matches_brute_force_scan():
     laws = [Normal(2.0, 1.0), Gamma(6.0, 3.0), Laplace(0.5, 1 / 3)]
     for seed in range(50):
         s = generate_grouped(laws[seed % 3], 1000, 5, seed=(77, seed))
-        rec = adaptive_cutoff(s, eta=1.1, scan_resolution=0.01)
+        rec = adaptive_cutoff(s, eta=1.1)
+        # the simulation's path: reuse an evaluation that has the derivative
+        assert adaptive_cutoff(s, eta=1.1, ev=evaluate_grid(s, scan_grid(s))) == rec
         t = threshold_value(1000, 5.0, 1.1)
         fine = evaluate_grid(
             s, UGrid(rec.value + 0.05, 1e-4), with_derivative=False
@@ -116,10 +121,18 @@ def test_adaptive_cutoff_grows_with_n():
     assert med[10000] > med[1000]
 
 
-def test_adaptive_validates_scan_resolution():
-    s = generate_grouped(Normal(2.0, 1.0), 100, 2, seed=0)
-    with pytest.raises(ParameterError):
-        adaptive_cutoff(s, scan_resolution=0.0)
+def test_adaptive_cutoff_leaves_no_cycle_holding_the_sample():
+    # a simulation draws a fresh sample per replication; one kept alive by a
+    # reference cycle would linger until the cyclic collector runs
+    s = generate_grouped(Normal(2.0, 1.0), 1000, 5, seed=12)
+    gc.disable()
+    try:
+        assert adaptive_cutoff(s).threshold_hit
+        ref = weakref.ref(s)
+        del s
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,20 @@ def test_estimate_fixed_cutoff_and_xgrid_override(tmp_path, normal_sum_file):
     assert payload["xgrid"] == {"x_min": -3.0, "x_max": 7.0, "count": 301}
 
 
+def test_estimate_x_count_alone_keeps_default_grid(tmp_path, normal_sum_file):
+    for count in (1024, 512):
+        code = run_cli(
+            ["estimate", "--input", normal_sum_file, "--group-size", 5,
+             "--x-count", count, "--out", tmp_path / f"e{count}"]
+        )
+        assert code == 0
+    wide, narrow = (
+        json.loads((tmp_path / f"e{count}.json").read_text()) for count in (1024, 512)
+    )
+    assert narrow["xgrid"] == wide["xgrid"] | {"count": 512}
+    assert "512 points" in narrow["cutoff"]["defaults"]["x_grid_policy"]
+
+
 def test_estimate_invalid_cutoff_flag(tmp_path, normal_sum_file, capsys):
     code = run_cli(
         ["estimate", "--input", normal_sum_file, "--group-size", 5,
@@ -111,6 +125,19 @@ def test_estimate_oracle_requires_law(tmp_path, normal_sum_file, capsys):
     )
     assert code == 2
     assert "requires --law" in capsys.readouterr().err
+
+
+def test_estimate_oracle_cutoff(tmp_path, normal_sum_file):
+    code = run_cli(
+        ["estimate", "--input", normal_sum_file, "--group-size", 5,
+         "--cutoff", "oracle", "--law", "normal", "--out", tmp_path / "e"]
+    )
+    assert code == 0
+    cutoff = json.loads((tmp_path / "e.json").read_text())["cutoff"]
+    assert cutoff["rule"] == "oracle"
+    assert math.isfinite(cutoff["risk"])
+    assert cutoff["candidates"] >= 1
+    assert 0 < cutoff["value"] <= (10**4) ** (1 / 5)
 
 
 def test_estimate_csv_round_trips_through_loader(tmp_path, normal_sum_file):

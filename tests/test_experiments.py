@@ -1,6 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
+
+import groupdeconv
 
 from groupdeconv.experiments import (
     ScenarioGrid,
@@ -160,3 +164,21 @@ def test_mean_cutoff_decreases_with_group_size():
         if row.method == "adaptive"
     }
     assert cuts[20] < cuts[5]
+
+
+# ---------------------------------------------------------------------------
+# package structure
+# ---------------------------------------------------------------------------
+
+
+def test_no_private_cross_module_imports():
+    offenders = []
+    for path in sorted(Path(groupdeconv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                offenders += [
+                    f"{path.name}: from .{node.module or ''} import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert offenders == []
