@@ -5,6 +5,9 @@ O(n + M log M) instead of O(n * M).  This is the classic fast Gaussian
 gridding construction: each source point is spread onto a 2x-oversampled
 uniform grid with a truncated Gaussian, the grid is transformed with one
 FFT, and the Gaussian's transform is divided back out mode by mode.
+The Gaussian is factored so that each point costs two exponentials and
+each of the 2*12 kernel offsets is scattered on its own, which keeps the
+working set at O(n) whatever the kernel width.
 
 With a spreading half-width of 12 grid points the result matches direct
 summation to ~1e-13 relative, comfortably inside the 1e-12 equivalence
@@ -34,42 +37,46 @@ def uniform_cf_sums(y, step, n_modes, weight_sets):
     -------
     list of (n_modes+1,) complex arrays, one per weight set.
     """
-    n = y.size
     mtot = 2 * n_modes + 1
     mr = 1 << max(4, int(np.ceil(np.log2(2.0 * mtot))))
     ratio = mr / mtot
     tau = np.pi * _MSP / (mtot * mtot) / (ratio * (ratio - 0.5))
     h = 2.0 * np.pi / mr
 
-    theta = np.mod(step * y, 2.0 * np.pi)
+    theta = np.mod(step * y, 2.0 * np.pi)  # in [0, 2pi], so m0 in [0, mr]
     m0 = np.floor(theta / h).astype(np.int64)
     dx = theta - m0 * h
+    del theta
 
-    offsets = np.arange(-_MSP + 1, _MSP + 1)
-    # e^{-(dx - t*h)^2 / 4tau} for every offset t, built as a (n, 2*MSP) block
-    kernel = np.exp(-((dx[:, None] - offsets[None, :] * h) ** 2) / (4.0 * tau))
-    idx = ((m0[:, None] + offsets[None, :]) % mr).ravel()
+    # e^{-(dx - t*h)^2 / 4tau} = e1 * e2^t * e^{-(t*h)^2 / 4tau} (Greengard &
+    # Lee 2004): two exponentials per point, the powers of e2 by running
+    # products, and the last factor a scalar per offset t
+    e1 = np.exp(-dx * dx / (4.0 * tau))
+    e2 = np.exp(dx * (h / (2.0 * tau)))
+    del dx
+    e2_inv = 1.0 / e2
 
     k = np.arange(n_modes + 1)
     correction = (h / np.sqrt(4.0 * np.pi * tau)) * np.exp(k * k * tau)
 
     outputs = []
     for w in weight_sets:
-        spread = np.bincount(idx, (w[:, None] * kernel).ravel(), minlength=mr)
+        # padded[j] holds fine-grid point j - _MSP, for -_MSP .. mr + _MSP
+        padded = np.zeros(mr + 2 * _MSP + 1)
+        for offsets, factor in ((range(_MSP + 1), e2), (range(-1, -_MSP, -1), e2_inv)):
+            values = w * e1
+            for t in offsets:
+                if t:
+                    values *= factor
+                counts = np.bincount(m0, values, minlength=mr + 1)
+                padded[t + _MSP : t + _MSP + mr + 1] += (
+                    np.exp(-((t * h) ** 2) / (4.0 * tau)) * counts
+                )
+
+        # fold both padded ends back onto the periodic grid 0 .. mr-1
+        spread = padded[_MSP : _MSP + mr].copy()
+        spread[mr - _MSP :] += padded[:_MSP]
+        spread[: _MSP + 1] += padded[_MSP + mr :]
         modes = np.fft.ifft(spread) * mr  # sum_m spread[m] e^{+i k m h}
         outputs.append(modes[: n_modes + 1] * correction)
-    return outputs
-
-
-def direct_cf_sums(y, step, n_modes, weight_sets):
-    """Reference O(n*M) evaluation of the same sums (used for validation)."""
-    z = np.exp(1j * step * y)
-    outputs = [np.empty(n_modes + 1, complex) for _ in weight_sets]
-    w_pow = np.ones_like(z)
-    for k in range(n_modes + 1):
-        for out, w in zip(outputs, weight_sets):
-            out[k] = np.dot(w, w_pow)
-        w_pow = w_pow * z
-        if (k + 1) % 512 == 0:
-            w_pow /= np.abs(w_pow)  # keep the unit-modulus factor from drifting
     return outputs

@@ -278,7 +278,6 @@ def run_grid(
     count.  Cells whose replications all fail become NaN rows rather than
     silent omissions.
     """
-    n_workers = resolve_workers(workers)
     cells = grid.cells
     tasks = []
     for cell_idx, (law, n, k) in enumerate(cells):
@@ -296,6 +295,8 @@ def run_grid(
                 )
             )
 
+    # more processes than tasks or CPUs would only wait
+    n_workers = min(resolve_workers(workers), len(tasks), os.cpu_count() or 1)
     if n_workers == 1:
         block_results = [_run_cell_block(t) for t in tasks]
     else:

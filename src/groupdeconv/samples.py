@@ -339,9 +339,37 @@ def load_sample(path, group_size: float) -> GroupedSample:
     """
     if not (np.isfinite(group_size) and group_size >= 1):
         raise ParameterError(f"group size must be >= 1 (got {group_size})")
-    text = Path(path).read_text()
+    lines = Path(path).read_text().splitlines()
+    start = 0
+    if lines:
+        try:
+            float(lines[0])
+        except ValueError:
+            start = 1  # header line (or a blank one, skipped either way)
+    try:
+        # one conversion; numpy parses each str with Python's float
+        values = np.array(lines[start:], dtype=float)
+    except ValueError:
+        values = np.array(_parse_lines(lines), dtype=float)
+    else:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            lineno = start + int(bad[0]) + 1
+            token = lines[lineno - 1].strip()
+            raise DataFormatError(
+                f"line {lineno}: non-finite observation '{token}'", line=lineno
+            )
+    if values.size < 2:
+        raise DataFormatError(
+            f"fewer than 2 observations in {path} (got {values.size})"
+        )
+    return GroupedSample(values, float(group_size))
+
+
+def _parse_lines(lines) -> list:
+    """Line-by-line parse that skips blank lines and names the first bad one."""
     values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         token = raw.strip()
         if not token:
             continue
@@ -358,8 +386,4 @@ def load_sample(path, group_size: float) -> GroupedSample:
                 f"line {lineno}: non-finite observation '{token}'", line=lineno
             )
         values.append(v)
-    if len(values) < 2:
-        raise DataFormatError(
-            f"fewer than 2 observations in {path} (got {len(values)})"
-        )
-    return GroupedSample(np.asarray(values, dtype=float), float(group_size))
+    return values

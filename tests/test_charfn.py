@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupdeconv._nufft import direct_cf_sums, uniform_cf_sums
+from groupdeconv._nufft import _MSP, uniform_cf_sums
 from groupdeconv.charfn import (
     CfEvaluation,
     UGrid,
@@ -174,12 +175,72 @@ def test_from_function_wraps_analytic_cf():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,n_modes", [(100, 64), (2000, 700), (500, 4096)])
-def test_nufft_matches_direct_reference(n, n_modes):
+def direct_cf_sums(y, step, n_modes, weight_sets):
+    """Reference O(n*M) evaluation of the sums ``uniform_cf_sums`` computes."""
+    z = np.exp(1j * step * y)
+    outputs = [np.empty(n_modes + 1, complex) for _ in weight_sets]
+    w_pow = np.ones_like(z)
+    for k in range(n_modes + 1):
+        for out, w in zip(outputs, weight_sets):
+            out[k] = np.dot(w, w_pow)
+        w_pow = w_pow * z
+        if (k + 1) % 512 == 0:
+            w_pow /= np.abs(w_pow)  # keep the unit-modulus factor from drifting
+    return outputs
+
+
+def _edge_points(rng, n, n_modes, step):
+    """Points whose phase step*y lies within one kernel width of 0 or 2*pi."""
+    mr = 1 << max(4, int(np.ceil(np.log2(2.0 * (2 * n_modes + 1)))))
+    width = _MSP * 2.0 * np.pi / mr
+    turns = rng.integers(-3, 4, n)
+    return (2.0 * np.pi * turns + rng.uniform(-width, width, n)) / step
+
+
+@pytest.mark.parametrize(
+    "points,n,n_modes,signed",
+    [
+        pytest.param("normal", 100, 64, False, id="100-64"),
+        pytest.param("normal", 2000, 700, False, id="2000-700"),
+        pytest.param("normal", 500, 4096, False, id="500-4096"),
+        # the smallest fine grid (16 points, narrower than the 2*_MSP kernel)
+        pytest.param("normal", 300, 0, True, id="small-grid-0"),
+        pytest.param("normal", 300, 1, True, id="small-grid-1"),
+        pytest.param("normal", 300, 3, True, id="small-grid-3"),
+        # phases that spread across both ends of the fine grid
+        pytest.param("edges", 400, 3, True, id="edges-3"),
+        pytest.param("edges", 400, 64, True, id="edges-64"),
+        pytest.param("edges", 400, 700, True, id="edges-700"),
+        # |step*y| up to ~1e4: the phase wraps many times
+        pytest.param("wraps", 2000, 700, True, id="wraps-700"),
+    ],
+)
+def test_nufft_matches_direct_reference(points, n, n_modes, signed):
     rng = make_rng((1234, n, n_modes))
-    y = rng.normal(0.0, 3.0, n)
+    step = 0.01
+    if points == "edges":
+        y = _edge_points(rng, n, n_modes, step)
+    elif points == "wraps":
+        y = rng.uniform(-1e4, 1e4, n) / step
+    else:
+        y = rng.normal(0.0, 3.0, n)
     w1 = np.ones(n)
-    fast = uniform_cf_sums(y, 0.01, n_modes, [w1, y])
-    slow = direct_cf_sums(y, 0.01, n_modes, [w1, y])
+    w2 = rng.normal(0.0, 1.0, n) if signed else y
+    fast = uniform_cf_sums(y, step, n_modes, [w1, w2])
+    slow = direct_cf_sums(y, step, n_modes, [w1, w2])
     np.testing.assert_allclose(fast[0], slow[0], atol=n * 1e-13)
     np.testing.assert_allclose(fast[1], slow[1], atol=np.abs(slow[1]).max() * 1e-11 + 1e-12)
+
+
+def test_nufft_memory_is_linear_in_points():
+    # the working set is a few (n,) arrays, not an (n, 2*_MSP) spreading block
+    n = 200_000
+    y = make_rng(77).normal(0.0, 3.0, n)
+    w1 = np.ones(n)
+    tracemalloc.start()
+    try:
+        uniform_cf_sums(y, 0.01, 700, [w1, y])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 128

@@ -6,6 +6,7 @@ import pytest
 
 import groupdeconv
 
+from groupdeconv import experiments
 from groupdeconv.experiments import (
     ScenarioGrid,
     benchmark_grid,
@@ -144,6 +145,38 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv("GROUPDECONV_THREADS", "abc")
     with pytest.raises(ParameterError, match="GROUPDECONV_THREADS.*'abc'"):
         resolve_workers()
+
+
+@pytest.mark.parametrize(
+    "cpus,block_size,expected",
+    [(3, 1, 3), (64, 1, 6), (64, 3, 2), (None, 1, None)],
+)
+def test_run_grid_clamps_workers_to_tasks_and_cpus(
+    monkeypatch, cpus, block_size, expected
+):
+    # records the pool size asked for and runs the tasks in-process: no
+    # worker process is started, however many are requested
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    g = tiny_grid()  # 2 cells x 3 replications
+    report = run_grid(g, workers=10**6, block_size=block_size)
+    assert requested == ([] if expected is None else [expected])
+    assert report.to_csv() == run_grid(g, workers=1).to_csv()
 
 
 def test_mean_cutoff_decreases_with_group_size():

@@ -239,6 +239,40 @@ def test_load_reports_malformed_line(tmp_path):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text,lineno,problem",
+    [
+        ("1.0\n2.0\nnan\n4.0\n", 3, "non-finite"),
+        ("y\n1.0\nnan\n", 3, "non-finite"),
+        ("y\n1.0\n2.0\n-inf\n", 4, "non-finite"),
+        ("1.0\n\nnan\n", 3, "non-finite"),
+        ("y\n1.0\n\n2.0\nabc\n", 5, "could not parse"),
+        ("1.0\nnan\nabc\n", 2, "non-finite"),
+    ],
+    ids=[
+        "nan",
+        "nan-after-header",
+        "inf-after-header",
+        "nan-after-blank",
+        "bad-after-blank",
+        "nan-before-bad",
+    ],
+)
+def test_load_names_first_bad_line(tmp_path, text, lineno, problem):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(DataFormatError, match=f"line {lineno}: {problem}") as exc:
+        load_sample(p, 2.0)
+    assert exc.value.line == lineno
+
+
+def test_load_skips_blank_lines_and_crlf(tmp_path):
+    p = tmp_path / "y.csv"
+    p.write_bytes(b"y\r\n1.5\r\n\r\n  \r\n2.5\r\n-3\r\n")
+    s = load_sample(p, 5.0)
+    np.testing.assert_array_equal(s.observations, [1.5, 2.5, -3.0])
+
+
 def test_load_rejects_group_size(tmp_path):
     p = tmp_path / "y.csv"
     p.write_text("1.0\n2.0\n")
