@@ -15,7 +15,7 @@ target = Gamma(1.0, 3.0)       # what the 6th root must recover
 
 grid = UGrid(u_max=8.0, step=1e-3)
 cf = CfEvaluation.from_function(law.cf, law.cf_prime, grid, group_size=6.0)
-root = distinguished_root(cf, 8.0, 6.0)
+root = distinguished_root(cf, 8.0)
 
 u = grid.points
 principal = law.cf(u) ** (1.0 / 6.0)   # naive branch choice

@@ -16,7 +16,7 @@ from .bandwidth import (
     oracle_risks,
     threshold_value,
 )
-from .charfn import CfEvaluation, UGrid, ecf_at, ecf_derivative_at, evaluate_grid
+from .charfn import CfEvaluation, UGrid, ecf_at, evaluate_grid
 from .errors import (
     CutoffExceedsRange,
     DataFormatError,
@@ -29,7 +29,6 @@ from .experiments import (
     ReplicationResult,
     RiskReport,
     ScenarioGrid,
-    benchmark_grid,
     run_grid,
     run_replication,
 )
@@ -37,8 +36,6 @@ from .inversion import (
     DensityEstimate,
     XGrid,
     default_xgrid,
-    energy_u,
-    energy_x,
     invert,
     l2_distance,
 )
@@ -46,7 +43,6 @@ from .rootlog import (
     RootEstimate,
     default_step,
     denominator_floor,
-    distinguished_log,
     distinguished_root,
     feasible_root,
 )
@@ -62,7 +58,6 @@ from .samples import (
     law_from_name,
     load_sample,
     make_rng,
-    true_cf,
 )
 
 __version__ = "0.1.0"

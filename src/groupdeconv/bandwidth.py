@@ -22,11 +22,12 @@ from scipy.optimize import brentq
 
 from .charfn import CfEvaluation, UGrid, ecf_at, evaluate_grid
 from .errors import LevelNotReached, ParameterError
-from .inversion import XGrid, default_xgrid, invert_prefixes
+from .inversion import XGrid, invert_prefixes
 from .rootlog import MAX_STEP, RootEstimate, default_step, feasible_root
 from .samples import GroupedSample, TestLaw
 
 __all__ = [
+    "DEFAULT_ETA",
     "K1_CAP",
     "CutoffRecord",
     "threshold_value",
@@ -35,11 +36,18 @@ __all__ = [
     "oracle_risks",
     "oracle_cutoff",
     "default_oracle_grid",
+    "diagnostic_level",
     "diagnostic_threshold_u",
 ]
 
+# The adaptive threshold constant eta wherever no caller sets one.
+DEFAULT_ETA = 1.1
+
 # For K == 1 the cap n^{1/K} = n would be impractically large.
 K1_CAP = 1000.0
+
+# The diagnostic bracketing scan gives up past this frequency.
+DIAGNOSTIC_U_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,7 @@ def scan_grid(sample: GroupedSample) -> UGrid:
 
 
 def adaptive_cutoff(
-    sample: GroupedSample, eta: float = 1.1, ev: CfEvaluation | None = None
+    sample: GroupedSample, eta: float = DEFAULT_ETA, ev: CfEvaluation | None = None
 ) -> CutoffRecord:
     """Data-driven cutoff: scan |phi_hat| on ``scan_grid(sample)``, refine the
     first threshold crossing with Brent's method, cap at n^{1/K}.
@@ -153,45 +161,50 @@ def oracle_risks(
     return snapped, risks
 
 
-def oracle_cutoff(
-    law: TestLaw,
-    sample: GroupedSample,
-    m_grid=None,
-    xgrid: XGrid | None = None,
-) -> CutoffRecord:
-    """argmin_m ||f - f_m||^2 over the cutoff grid, ties toward smaller m.
+def oracle_cutoff(law: TestLaw, sample: GroupedSample, xgrid: XGrid) -> CutoffRecord:
+    """argmin_m ||f - f_m||^2 over ``default_oracle_grid`` up to the cap
+    n^{1/K}, ties toward smaller m.
 
-    When |phi_hat| hits the integration floor before the largest candidate,
-    the grid is truncated at the last feasible cutoff and the truncation
-    point is recorded in the result's params.
+    When |phi_hat| hits the integration floor before the cap, the candidates
+    stop at the last feasible cutoff and the truncation point is recorded in
+    the result's params.
     """
     cap = cutoff_cap(sample.n, sample.group_size)
-    if m_grid is not None and len(m_grid) == 0:
-        raise ParameterError("m_grid must be nonempty with positive entries")
-    u_hi = cap if m_grid is None else float(np.max(m_grid))
-    step = default_step(u_hi)
-    ev = evaluate_grid(sample, UGrid(u_max=u_hi + step, step=step))
+    step = default_step(cap)
+    ev = evaluate_grid(sample, UGrid(u_max=cap + step, step=step))
     root, violation = feasible_root(ev)
-    if m_grid is None:
-        m_grid = default_oracle_grid(min(u_hi, root.u_limit))
-    else:
-        m_grid = np.sort(np.asarray(m_grid, dtype=float))
-        if m_grid.size == 0 or m_grid[0] <= 0:
-            raise ParameterError("m_grid must be nonempty with positive entries")
-        m_grid = m_grid[m_grid <= root.u_limit + step * 1e-9]
-        if m_grid.size == 0:
-            raise ParameterError(
-                "no cutoff candidate is feasible: |phi_hat| hits the "
-                f"integration floor at u = {violation:.6g}"
-            )
-    if xgrid is None:
-        xgrid = default_xgrid(sample)
-    snapped, risks = oracle_risks(root, law.pdf, m_grid, xgrid)
+    candidates = default_oracle_grid(min(cap, root.u_limit))
+    snapped, risks = oracle_risks(root, law.pdf, candidates, xgrid)
     best = int(np.argmin(risks))  # first minimum = smallest m on ties
     params = {"risk": float(risks[best]), "candidates": int(snapped.size)}
     if violation is not None:
         params["truncated_at"] = violation
     return CutoffRecord(float(snapped[best]), "oracle", True, step, params)
+
+
+def diagnostic_level(
+    n: int,
+    group_size: float,
+    gamma: float | None = None,
+    eps: float = 0.1,
+    delta: float = 0.1,
+) -> tuple[float, float]:
+    """(gamma, level) of the diagnostic: level = (1+eps)*gamma*sqrt(log n/n).
+
+    ``gamma`` defaults to sqrt(1 + 2/K + delta).  A level <= 0 is rejected:
+    |phi_X|^K reaches it only where it underflows.
+    """
+    if n < 2:
+        raise ParameterError(f"need n >= 2 (got {n})")
+    if gamma is None:
+        gamma = math.sqrt(max(1.0 + 2.0 / group_size + delta, 0.0))
+    if not (gamma > 0 and eps > -1):
+        raise ParameterError(
+            "the diagnostic level (1+eps)*gamma*sqrt(log n/n) must be > 0, "
+            f"so eps > -1 and gamma > 0 (got eps={eps:g}, delta={delta:g}, "
+            f"gamma={gamma:g})"
+        )
+    return gamma, (1.0 + eps) * gamma * math.sqrt(math.log(n) / n)
 
 
 def diagnostic_threshold_u(
@@ -201,20 +214,14 @@ def diagnostic_threshold_u(
     gamma: float | None = None,
     eps: float = 0.1,
     delta: float = 0.1,
-    u_max: float = 1e6,
 ) -> float:
-    """First u >= 0 where |phi_X(u)|^K falls to (1+eps)*gamma*sqrt(log n/n).
+    """First u >= 0 where |phi_X(u)|^K falls to ``diagnostic_level``.
 
-    ``gamma`` defaults to sqrt(1 + 2/K + delta).  Levels >= 1 are already
-    met at u = 0.  The bracketing scan assumes the benchmark laws'
-    monotonically decaying |phi_X|; LevelNotReached signals that the level
-    is never met before ``u_max``.
+    Levels >= 1 are already met at u = 0.  The bracketing scan assumes the
+    benchmark laws' monotonically decaying |phi_X|; LevelNotReached signals
+    that the level is never met before DIAGNOSTIC_U_MAX.
     """
-    if n < 2:
-        raise ParameterError(f"need n >= 2 (got {n})")
-    if gamma is None:
-        gamma = math.sqrt(1.0 + 2.0 / group_size + delta)
-    level = (1.0 + eps) * gamma * math.sqrt(math.log(n) / n)
+    _, level = diagnostic_level(n, group_size, gamma, eps, delta)
     if level >= 1.0:
         return 0.0
 
@@ -225,8 +232,9 @@ def diagnostic_threshold_u(
     while modulus_pow_k(hi) > level:
         lo = hi
         hi *= 1.3
-        if hi > u_max:
+        if hi > DIAGNOSTIC_U_MAX:
             raise LevelNotReached(
-                f"|phi(u)|^{group_size:g} stays above {level:.3e} up to u = {u_max:g}"
+                f"|phi(u)|^{group_size:g} stays above {level:.3e} "
+                f"up to u = {DIAGNOSTIC_U_MAX:g}"
             )
     return brentq(lambda u: modulus_pow_k(u) - level, lo, hi, xtol=1e-12)

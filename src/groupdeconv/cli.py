@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,8 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from .bandwidth import (
+    DEFAULT_ETA,
     adaptive_cutoff,
     cutoff_cap,
+    diagnostic_level,
     diagnostic_threshold_u,
     oracle_cutoff,
     threshold_value,
@@ -37,16 +40,26 @@ from .errors import (
 from .experiments import ScenarioGrid, run_grid
 from .inversion import X_COUNT, XGrid, default_xgrid, invert
 from .rootlog import MAX_STEP, default_step, distinguished_root
-from .samples import benchmark_laws, law_from_name, load_sample, true_cf
+from .samples import law_from_name, load_sample
 
-DEFAULT_ETA = 1.1
+
+def _finite_float(text: str) -> float:
+    """The type of every float flag: a finite number, or argparse exits 2
+    naming the flag and the value."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number (got '{text}')")
+    return value
 
 
 def _defaults_metadata(args) -> dict:
     """Every tunable that shaped the output, echoed into the result files."""
     count = getattr(args, "x_count", X_COUNT)
     return {
-        "eta": getattr(args, "eta", DEFAULT_ETA),
+        "eta": args.eta,
         "scan_resolution": MAX_STEP,
         "x_grid_policy": f"center mean(Y)/K, half-width 8*sd(X), {count} points",
         "replications": getattr(args, "reps", None),
@@ -64,9 +77,11 @@ def _parse_cutoff_flag(text: str):
         return text, None
     if text.startswith("fixed:"):
         try:
-            m = float(text.split(":", 1)[1])
-        except ValueError:
-            raise ParameterError(f"fixed cutoff must be numeric (got '{text}')")
+            m = _finite_float(text.split(":", 1)[1])
+        except argparse.ArgumentTypeError:
+            raise ParameterError(
+                f"--cutoff: fixed cutoff must be a finite number (got '{text}')"
+            ) from None
         if m <= 0:
             raise ParameterError(f"fixed cutoff must be > 0 (got {m})")
         return "fixed", m
@@ -101,7 +116,7 @@ def cmd_estimate(args) -> int:
     elif rule == "oracle":
         if args.law is None:
             raise ParameterError("--cutoff oracle requires --law")
-        record = oracle_cutoff(law_from_name(args.law), sample, xgrid=xgrid)
+        record = oracle_cutoff(law_from_name(args.law), sample, xgrid)
         m = record.value
     else:
         record = None
@@ -136,18 +151,20 @@ def _int_list(text):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
+# config key -> (the ScenarioGrid field it sets, parser)
 _CONFIG_KEYS = {
-    "laws": lambda text: text.split(","),
-    "ns": _int_list,
-    "group_sizes": _int_list,
-    "reps": int,
-    "eta": float,
-    "seed": int,
+    "laws": ("laws", lambda text: text.split(",")),
+    "ns": ("ns", _int_list),
+    "group_sizes": ("group_sizes", _int_list),
+    "reps": ("replications", int),
+    "eta": ("eta", float),
+    "seed": ("master_seed", int),
 }
 
 
 def _parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment; lists are comma-separated."""
+    """Flat ``key = value`` lines; '#' starts a comment; lists are
+    comma-separated.  Returns the values by ScenarioGrid field."""
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -166,8 +183,9 @@ def _parse_config_file(path) -> dict:
                 f"(known: {', '.join(_CONFIG_KEYS)})",
                 line=lineno,
             )
+        field, parse = _CONFIG_KEYS[key]
         try:
-            out[key] = _CONFIG_KEYS[key](value)
+            out[field] = parse(value)
         except ValueError:
             raise DataFormatError(
                 f"{path}:{lineno}: bad value for '{key}' (got '{value}')", line=lineno
@@ -176,21 +194,22 @@ def _parse_config_file(path) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _parse_config_file(args.config) if args.config else {}
-
-    law_names = args.law or cfg.get("laws", list(benchmark_laws()))
-    laws = tuple(law_from_name(name) for name in law_names)
-    ns = tuple(args.n) if args.n else cfg.get("ns", (1000, 5000, 10000))
-    ks = tuple(args.group_size) if args.group_size else cfg.get("group_sizes", (5, 10, 20, 50))
-    reps = args.reps if args.reps is not None else cfg.get("reps", 500)
+    # a flag overrides the config file; what neither sets keeps ScenarioGrid's default
+    fields = _parse_config_file(args.config) if args.config else {}
+    flags = {
+        "laws": args.law,
+        "ns": args.n,
+        "group_sizes": args.group_size,
+        "replications": args.reps,
+        "eta": args.eta,
+        "master_seed": args.seed,
+    }
+    fields |= {name: value for name, value in flags.items() if value is not None}
+    if "laws" in fields:
+        fields["laws"] = tuple(law_from_name(name) for name in fields["laws"])
+    grid = ScenarioGrid(**fields)
     if args.quick:
-        reps = min(reps, 50)
-    eta = args.eta if args.eta is not None else cfg.get("eta", DEFAULT_ETA)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 20130528)
-
-    grid = ScenarioGrid(
-        laws=laws, ns=ns, group_sizes=ks, replications=reps, eta=eta, master_seed=seed
-    )
+        grid = replace(grid, replications=min(grid.replications, 50))
     report = run_grid(grid)
 
     out = Path(args.out)
@@ -214,18 +233,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    if args.law is None:
-        raise ParameterError("diagnose requires --law")
     if args.group_size < 1:
         raise ParameterError(f"group size must be >= 1 (got {args.group_size:g})")
     law = law_from_name(args.law)
     n, k = args.n, args.group_size
-    gamma = args.gamma if args.gamma is not None else float(np.sqrt(1 + 2 / k + args.delta))
-    level = (1 + args.eps) * gamma * float(np.sqrt(np.log(n) / n))
+    gamma, level = diagnostic_level(n, k, args.gamma, args.eps, args.delta)
 
     warning = None
     try:
-        u_n = diagnostic_threshold_u(law, n, k, gamma=gamma, eps=args.eps)
+        u_n = diagnostic_threshold_u(law, n, k, args.gamma, args.eps, args.delta)
     except LevelNotReached as exc:
         u_n = None
         warning = str(exc)
@@ -249,7 +265,7 @@ def cmd_diagnose(args) -> int:
 
     u_hi = max(cap, (u_n or 0.0) * 1.5, 1.0)
     us = np.linspace(0.0, u_hi, 512)
-    abs_phi_x = np.abs(true_cf(law, us))
+    abs_phi_x = np.abs(law.cf(us))
     abs_phi = abs_phi_x**k
 
     out = Path(args.out)
@@ -285,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate a density from a data file")
     est.add_argument("--input", required=True, help="CSV/text file, one observation per line")
-    est.add_argument("--group-size", type=float, required=True, help="K (or real >= 1)")
-    est.add_argument("--eta", type=float, default=DEFAULT_ETA, help="adaptive threshold constant (> 1)")
+    est.add_argument("--group-size", type=_finite_float, required=True, help="K (or real >= 1)")
+    est.add_argument("--eta", type=_finite_float, default=DEFAULT_ETA, help="adaptive threshold constant (> 1)")
     est.add_argument("--cutoff", default="adaptive", help="adaptive | oracle | fixed:<m>")
     est.add_argument("--law", default=None, help="law name (required for --cutoff oracle)")
-    est.add_argument("--x-min", type=float, default=None)
-    est.add_argument("--x-max", type=float, default=None)
+    est.add_argument("--x-min", type=_finite_float, default=None)
+    est.add_argument("--x-max", type=_finite_float, default=None)
     est.add_argument("--x-count", type=int, default=X_COUNT)
     est.add_argument("--out", default="estimate", help="output path prefix")
     est.set_defaults(func=cmd_estimate)
@@ -299,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--law", action="append", help="law name; repeatable (default: all four)")
     sim.add_argument("--n", action="append", type=int, help="sample size; repeatable")
     sim.add_argument("--group-size", action="append", type=int, help="K; repeatable")
-    sim.add_argument("--reps", type=int, default=None, help="replications per cell (default 500)")
-    sim.add_argument("--eta", type=float, default=None)
+    sim.add_argument("--reps", type=int, default=None, help=f"replications per cell (default {ScenarioGrid.replications})")
+    sim.add_argument("--eta", type=_finite_float, default=None)
     sim.add_argument("--seed", type=int, default=None, help="master seed")
     sim.add_argument("--quick", action="store_true", help="CI mode: at most 50 replications")
     sim.add_argument("--config", default=None, help="key = value file defining the grid")
@@ -310,11 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     dia = sub.add_parser("diagnose", help="theoretical threshold diagnostics")
     dia.add_argument("--law", required=True)
     dia.add_argument("--n", type=int, required=True)
-    dia.add_argument("--group-size", type=float, required=True)
-    dia.add_argument("--eta", type=float, default=DEFAULT_ETA)
-    dia.add_argument("--eps", type=float, default=0.1)
-    dia.add_argument("--delta", type=float, default=0.1)
-    dia.add_argument("--gamma", type=float, default=None, help="override sqrt(1 + 2/K + delta)")
+    dia.add_argument("--group-size", type=_finite_float, required=True)
+    dia.add_argument("--eta", type=_finite_float, default=DEFAULT_ETA)
+    dia.add_argument("--eps", type=_finite_float, default=0.1)
+    dia.add_argument("--delta", type=_finite_float, default=0.1)
+    dia.add_argument("--gamma", type=_finite_float, default=None, help="override sqrt(1 + 2/K + delta)")
     dia.add_argument("--out", default="diagnostics", help="output path prefix")
     dia.set_defaults(func=cmd_diagnose)
     return parser

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandwidth import (
+    DEFAULT_ETA,
     adaptive_cutoff,
     cutoff_cap,
     default_oracle_grid,
@@ -33,7 +34,6 @@ __all__ = [
     "ScenarioGrid",
     "ReplicationResult",
     "RiskReport",
-    "benchmark_grid",
     "law_xgrid",
     "run_replication",
     "run_grid",
@@ -45,13 +45,14 @@ THREADS_ENV = "GROUPDECONV_THREADS"
 
 @dataclass(frozen=True)
 class ScenarioGrid:
-    """The cells of a risk study plus replication count and seeding."""
+    """The cells of a risk study plus replication count and seeding; the
+    defaults are the full study."""
 
-    laws: tuple
-    ns: tuple
-    group_sizes: tuple
+    laws: tuple = tuple(benchmark_laws().values())
+    ns: tuple = (1000, 5000, 10000)
+    group_sizes: tuple = (5, 10, 20, 50)
     replications: int = 500
-    eta: float = 1.1
+    eta: float = DEFAULT_ETA
     master_seed: int = 20130528
 
     def __post_init__(self):
@@ -76,18 +77,6 @@ class ScenarioGrid:
         ]
 
 
-def benchmark_grid(replications: int = 500, eta: float = 1.1, master_seed: int = 20130528) -> ScenarioGrid:
-    """The full study grid: four laws, n in {1000, 5000, 10000}, K in {5, 10, 20, 50}."""
-    return ScenarioGrid(
-        laws=tuple(benchmark_laws().values()),
-        ns=(1000, 5000, 10000),
-        group_sizes=(5, 10, 20, 50),
-        replications=replications,
-        eta=eta,
-        master_seed=master_seed,
-    )
-
-
 @dataclass(frozen=True)
 class ReplicationResult:
     risk_adaptive: float
@@ -107,7 +96,7 @@ def run_replication(
     law: TestLaw,
     n: int,
     group_size: int,
-    eta: float = 1.1,
+    eta: float = DEFAULT_ETA,
     seed=0,
     xgrid: XGrid | None = None,
 ) -> ReplicationResult:

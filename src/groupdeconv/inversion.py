@@ -34,8 +34,6 @@ __all__ = [
     "invert",
     "invert_prefixes",
     "l2_distance",
-    "energy_x",
-    "energy_u",
 ]
 
 
@@ -125,20 +123,6 @@ class DensityEstimate:
             "provenance": self.provenance,
         }
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-    @staticmethod
-    def from_json(path) -> "DensityEstimate":
-        payload = json.loads(Path(path).read_text())
-        g = payload["xgrid"]
-        cutoff = dict(payload["cutoff"])
-        return DensityEstimate(
-            xgrid=XGrid(g["x_min"], g["x_max"], g["count"]),
-            values=np.asarray(payload["values"], dtype=float),
-            cutoff_m=cutoff.pop("value"),
-            cutoff_rule=cutoff,
-            group_size=payload["group_size"],
-            provenance=payload["provenance"],
-        )
 
 
 def _chirp_z(a: np.ndarray, step: float, xgrid: XGrid) -> np.ndarray:
@@ -239,16 +223,3 @@ def l2_distance(a, b, xgrid: XGrid | None = None) -> float:
     diff = va - vb
     return float(np.trapezoid(diff * diff, xgrid.points))
 
-
-def energy_x(est: DensityEstimate) -> float:
-    """integral of f_m(x)^2 over the estimate's grid (trapezoid)."""
-    return float(np.trapezoid(est.values**2, est.xgrid.points))
-
-
-def energy_u(root: RootEstimate, m: float) -> float:
-    """(1/2pi) integral_{-m}^{m} |phi_hat_X|^2 du on the root's grid."""
-    k_m = _cutoff_index(root, m)
-    if k_m < 1:
-        return 0.0
-    mod2 = root.modulus_pow[: k_m + 1] ** 2
-    return float(np.trapezoid(mod2, dx=root.grid.step) / math.pi)

@@ -33,7 +33,6 @@ __all__ = [
     "RootEstimate",
     "default_step",
     "denominator_floor",
-    "distinguished_log",
     "distinguished_root",
     "feasible_root",
 ]
@@ -87,27 +86,6 @@ class RootEstimate:
     def u_limit(self) -> float:
         return self.grid.points[-1]
 
-    @staticmethod
-    def from_values(grid: UGrid, values, group_size: float = 1.0) -> "RootEstimate":
-        """Wrap characteristic-function values given directly on a grid.
-
-        Meant for analytic inputs: the continuous phase is recovered by
-        unwrapping the pointwise argument, which is reliable only when the
-        phase moves by well under pi per grid step.
-        """
-        vals = np.asarray(values, dtype=complex)
-        if vals.shape != grid.points.shape:
-            raise ParameterError("values must live on the grid's nonnegative points")
-        phase = np.unwrap(np.angle(vals))
-        phase -= phase[0]
-        return RootEstimate(
-            grid=grid,
-            modulus_pow=np.abs(vals),
-            phase=phase,
-            group_size=float(group_size),
-            warnings=[],
-        )
-
 
 def _require_in_range(cf: CfEvaluation, u_limit: float) -> int:
     if u_limit < 0:
@@ -135,32 +113,15 @@ def _centered_psi(cf: CfEvaluation, k_limit: int) -> np.ndarray:
     return cumulative_trapezoid(g, dx=cf.grid.step, initial=0.0)
 
 
-def distinguished_log(cf: CfEvaluation, u_limit: float) -> np.ndarray:
-    """psi_hat on the grid points of [0, u_limit]; psi_hat(0) = 0.
-
-    exp(psi_hat(u)) reproduces phi_hat(u) up to O(step^2) quadrature error
-    per unit length.  Raises DenominatorTooSmall if |phi_hat| dips below the
-    floor inside the requested range.
-    """
-    k_limit = _require_in_range(cf, u_limit)
-    hit = _first_floor_violation(cf, k_limit)
-    if hit is not None:
-        _, u, value, floor = hit
-        raise DenominatorTooSmall(u, value, floor)
-    psi = _centered_psi(cf, k_limit)
-    u = cf.grid.points[: k_limit + 1]
-    return psi + 1j * cf.center * u
-
-
-def _assemble_root(cf: CfEvaluation, k_limit: int, group_size: float) -> RootEstimate:
+def _assemble_root(cf: CfEvaluation, k_limit: int) -> RootEstimate:
     if k_limit < 1:
         raise ParameterError("a root estimate needs at least one grid step")
     step = cf.grid.step
     u = cf.grid.points[: k_limit + 1]
     modulus = np.abs(cf.phi_centered[: k_limit + 1])
-    modulus_pow = modulus ** (1.0 / group_size)
+    modulus_pow = modulus ** (1.0 / cf.group_size)
     psi_c = _centered_psi(cf, k_limit)
-    phase = (cf.center * u + psi_c.imag) / group_size
+    phase = (cf.center * u + psi_c.imag) / cf.group_size
 
     warnings = []
     increments = np.abs(np.diff(phase))
@@ -173,39 +134,32 @@ def _assemble_root(cf: CfEvaluation, k_limit: int, group_size: float) -> RootEst
             )
         )
     return RootEstimate(
-        UGrid(u_max=u[-1], step=step), modulus_pow, phase, group_size, warnings
+        UGrid(u_max=u[-1], step=step), modulus_pow, phase, cf.group_size, warnings
     )
 
 
-def distinguished_root(
-    cf: CfEvaluation, u_limit: float, group_size: float | None = None
-) -> RootEstimate:
-    """phi_hat_X = |phi_hat|^{1/K} exp(i Im psi_hat / K) on [0, u_limit].
+def distinguished_root(cf: CfEvaluation, u_limit: float) -> RootEstimate:
+    """phi_hat_X = |phi_hat|^{1/K} exp(i Im psi_hat / K) on [0, u_limit],
+    with K the evaluation's group size.
 
-    ``group_size`` defaults to the evaluation's own; any real value >= 1 is
-    accepted.  Raises DenominatorTooSmall as distinguished_log does.
+    Raises DenominatorTooSmall if |phi_hat| dips below the floor inside the
+    requested range.
     """
-    gs = cf.group_size if group_size is None else float(group_size)
-    if not (gs >= 1):
-        raise ParameterError(f"group size must be >= 1 (got {gs})")
     k_limit = _require_in_range(cf, u_limit)
     hit = _first_floor_violation(cf, k_limit)
     if hit is not None:
         _, u, value, floor = hit
         raise DenominatorTooSmall(u, value, floor)
-    return _assemble_root(cf, k_limit, gs)
+    return _assemble_root(cf, k_limit)
 
 
-def feasible_root(cf: CfEvaluation, group_size: float | None = None):
+def feasible_root(cf: CfEvaluation):
     """Root on the largest feasible prefix [0, u_feasible] of the grid.
 
     Returns (root, violation) where violation is None when the whole grid
     passed the denominator floor, else the u at which integration stopped.
     The root then covers grid points strictly before the violation.
     """
-    gs = cf.group_size if group_size is None else float(group_size)
-    if not (gs >= 1):
-        raise ParameterError(f"group size must be >= 1 (got {gs})")
     k_limit = cf.grid.n_half
     hit = _first_floor_violation(cf, k_limit)
     violation = None
@@ -215,7 +169,7 @@ def feasible_root(cf: CfEvaluation, group_size: float | None = None):
             raise DenominatorTooSmall(u_bad, value, floor)
         k_limit = k_bad - 1
         violation = u_bad
-    root = _assemble_root(cf, k_limit, gs)
+    root = _assemble_root(cf, k_limit)
     if violation is not None:
         root.warnings.append(
             (violation, "integration truncated at the denominator floor")

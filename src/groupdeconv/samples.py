@@ -28,7 +28,6 @@ __all__ = [
     "law_from_name",
     "make_rng",
     "generate_grouped",
-    "true_cf",
     "load_sample",
 ]
 
@@ -307,11 +306,6 @@ def law_from_name(name: str) -> TestLaw:
             f"unknown law '{name}' (choose from {', '.join(sorted(laws))})"
         )
     return laws[key]
-
-
-def true_cf(law: TestLaw, u):
-    """Exact characteristic function of ``law`` at frequency ``u``."""
-    return law.cf(u)
 
 
 def generate_grouped(law: TestLaw, n: int, group_size: int, seed) -> GroupedSample:

@@ -14,16 +14,11 @@ import pytest
 
 from groupdeconv.bandwidth import adaptive_cutoff, cutoff_cap
 from groupdeconv.charfn import CfEvaluation, UGrid, evaluate_grid
-from groupdeconv.experiments import (
-    ScenarioGrid,
-    benchmark_grid,
-    law_xgrid,
-    run_grid,
-    run_replication,
-)
-from groupdeconv.inversion import XGrid, energy_u, energy_x, invert
-from groupdeconv.rootlog import RootEstimate, distinguished_root, feasible_root
+from groupdeconv.experiments import ScenarioGrid, law_xgrid, run_grid, run_replication
+from groupdeconv.inversion import XGrid, invert
+from groupdeconv.rootlog import distinguished_root, feasible_root
 from groupdeconv.samples import Gamma, Normal, benchmark_laws, generate_grouped, make_rng
+from reference import energy_u, energy_x, root_from_values
 
 LAWS = benchmark_laws()
 
@@ -47,7 +42,7 @@ def test_criterion_1_analytic_root_oracle():
     for k in (2, 3, 6):
         grid = UGrid(5.0, 1e-3)
         cf = CfEvaluation.from_function(law.cf, law.cf_prime, grid, group_size=k)
-        root = distinguished_root(cf, 5.0, k)
+        root = distinguished_root(cf, 5.0)
         target = Gamma(6.0 / k, 3.0).cf(root.grid.points)
         worst_modulus = max(
             worst_modulus, np.abs(root.modulus_pow - np.abs(target)).max()
@@ -58,7 +53,7 @@ def test_criterion_1_analytic_root_oracle():
         for step in (1e-3, 5e-4):
             g = UGrid(5.0, step)
             c = CfEvaluation.from_function(law.cf, law.cf_prime, g, group_size=k)
-            r = distinguished_root(c, 5.0, k)
+            r = distinguished_root(c, 5.0)
             exact_phase = (6.0 / k) * np.arctan(r.grid.points / 3.0)
             errs[step] = np.abs(r.phase - exact_phase).max()
         ratios[k] = errs[1e-3] / errs[5e-4]
@@ -92,8 +87,8 @@ def test_criterion_2_k1_reduction():
     for rep in range(20):
         sample = generate_grouped(Normal(2.0, 1.0), 1000, 1, seed=(2001, rep))
         ev = evaluate_grid(sample, grid)
-        pipeline = invert(distinguished_root(ev, m, 1.0), m, xg)
-        direct = invert(RootEstimate.from_values(grid, ev.phi, 1.0), m, xg)
+        pipeline = invert(distinguished_root(ev, m), m, xg)
+        direct = invert(root_from_values(grid, ev.phi, 1.0), m, xg)
         worst = max(worst, np.abs(pipeline.values - direct.values).max())
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8
@@ -217,7 +212,7 @@ def test_criterion_4_table_reproduction():
 
 def test_criterion_5_trend_reproduction():
     t0 = time.perf_counter()
-    report = run_grid(benchmark_grid(replications=200, master_seed=5000))
+    report = run_grid(ScenarioGrid(replications=200, master_seed=5000))
     assert len(report.rows) == 96  # 4 laws x 3 ns x 4 Ks x 2 methods
     risk = {
         (r.law, r.n, r.group_size, r.method): r.mean_risk for r in report.rows

@@ -9,16 +9,16 @@ from groupdeconv.bandwidth import (
     adaptive_cutoff,
     cutoff_cap,
     default_oracle_grid,
+    diagnostic_level,
     diagnostic_threshold_u,
-    oracle_cutoff,
     oracle_risks,
     scan_grid,
     threshold_value,
 )
-from groupdeconv.charfn import UGrid
+from groupdeconv.charfn import UGrid, evaluate_grid
 from groupdeconv.errors import LevelNotReached, ParameterError
-from groupdeconv.inversion import XGrid
-from groupdeconv.rootlog import RootEstimate
+from groupdeconv.inversion import XGrid, default_xgrid, invert, l2_distance
+from groupdeconv.rootlog import default_step, feasible_root
 from groupdeconv.samples import (
     Gamma,
     GroupedSample,
@@ -27,6 +27,7 @@ from groupdeconv.samples import (
     generate_grouped,
     make_rng,
 )
+from reference import root_from_values
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +141,25 @@ def test_adaptive_cutoff_leaves_no_cycle_holding_the_sample():
 # ---------------------------------------------------------------------------
 
 
+def sample_root(s, u_max, step):
+    """Root of a sample's ECF over [0, u_max], as the oracle builds it."""
+    root, _violation = feasible_root(evaluate_grid(s, UGrid(u_max + step, step)))
+    return root
+
+
 def test_oracle_singleton_grid():
     law = Normal(2.0, 1.0)
     s = generate_grouped(law, 500, 2, seed=3)
-    rec = oracle_cutoff(law, s, m_grid=[1.3])
-    assert rec.value == pytest.approx(1.3, abs=0.01)
-    assert rec.rule == "oracle"
+    ms, risks = oracle_risks(sample_root(s, 1.3, 0.01), law.pdf, [1.3], default_xgrid(s))
+    assert ms == pytest.approx([1.3], abs=0.01)
+    assert risks.shape == (1,) and np.isfinite(risks[0])
 
 
 def test_oracle_on_noiseless_root_picks_largest_m():
     # bias strictly decreasing with no variance: argmin is the largest cutoff
     law = Normal(2.0, 1.0)
     grid = UGrid(8.0, 0.002)
-    root = RootEstimate.from_values(grid, law.cf(grid.points), 1.0)
+    root = root_from_values(grid, law.cf(grid.points), 1.0)
     xg = XGrid(-4.0, 8.0, 513)
     ms, risks = oracle_risks(root, law.pdf, [1.0, 2.0, 4.0, 8.0], xg)
     assert ms[np.argmin(risks)] == pytest.approx(8.0)
@@ -162,7 +169,7 @@ def test_oracle_on_noiseless_root_picks_largest_m():
 def test_oracle_ties_break_toward_smaller_m():
     law = Normal(2.0, 1.0)
     grid = UGrid(2.0, 0.01)
-    root = RootEstimate.from_values(grid, law.cf(grid.points), 1.0)
+    root = root_from_values(grid, law.cf(grid.points), 1.0)
     xg = XGrid(-4.0, 8.0, 129)
     # duplicate candidates snap to the same grid index and deduplicate
     ms, risks = oracle_risks(root, law.pdf, [1.0, 1.0005, 1.5], xg)
@@ -171,29 +178,24 @@ def test_oracle_ties_break_toward_smaller_m():
 
 def test_oracle_beats_or_matches_adaptive_when_injected():
     law = Laplace(0.5, 1.0 / 3.0)
+    cap = cutoff_cap(1000, 5.0)
     for seed in range(5):
         s = generate_grouped(law, 1000, 5, seed=(31337, seed))
         rec_a = adaptive_cutoff(s)
-        grid = default_oracle_grid(cutoff_cap(1000, 5.0))
-        rec_o = oracle_cutoff(law, s, m_grid=np.append(grid, rec_a.value))
-        # by argmin dominance the oracle risk cannot exceed the adaptive one
-        from groupdeconv.charfn import evaluate_grid
-        from groupdeconv.inversion import default_xgrid, invert, l2_distance
-        from groupdeconv.rootlog import distinguished_root
-
-        step = rec_o.scan_resolution
-        ev = evaluate_grid(s, UGrid(cutoff_cap(1000, 5.0) + step, step))
-        root = distinguished_root(ev, min(cutoff_cap(1000, 5.0), ev.grid.u_max))
+        root = sample_root(s, cap, default_step(cap))
         xg = default_xgrid(s)
+        candidates = np.append(default_oracle_grid(min(cap, root.u_limit)), rec_a.value)
+        _ms, risks = oracle_risks(root, law.pdf, candidates, xg)
+        # by argmin dominance the oracle risk cannot exceed the adaptive one
         risk_a = l2_distance(law.pdf, invert(root, rec_a.value, xg), xg)
-        assert rec_o.params["risk"] <= risk_a + 1e-6
+        assert risks.min() <= risk_a + 1e-6
 
 
 def test_oracle_rejects_empty_grid():
     law = Normal(2.0, 1.0)
     s = generate_grouped(law, 200, 2, seed=1)
     with pytest.raises(ParameterError):
-        oracle_cutoff(law, s, m_grid=[])
+        oracle_risks(sample_root(s, 1.0, 0.01), law.pdf, [], default_xgrid(s))
 
 
 def test_default_oracle_grid_shape():
@@ -232,6 +234,22 @@ def test_diagnostic_laplace_closed_form():
     level = (1 + eps) * gamma * math.sqrt(math.log(n) / n)
     expected = 3.0 * math.sqrt(level ** (-1.0 / k) - 1.0)
     assert abs(u - expected) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "kw", [{"eps": -1.0}, {"eps": -3.0, "gamma": -1.0}, {"gamma": 0.0}, {"delta": -2.0}]
+)
+def test_diagnostic_level_must_be_positive(kw):
+    # at eps = -1 the level is 0, met only where |phi_X|^K underflows
+    with pytest.raises(ParameterError, match="must be > 0"):
+        diagnostic_threshold_u(Laplace(0.5, 1.0 / 3.0), 10**4, 5.0, **kw)
+
+
+def test_diagnostic_level_closed_form():
+    gamma, level = diagnostic_level(10**4, 5.0, eps=0.2, delta=0.3)
+    assert gamma == math.sqrt(1 + 2 / 5.0 + 0.3)
+    assert level == pytest.approx(1.2 * gamma * math.sqrt(math.log(10**4) / 10**4))
+    assert diagnostic_level(10**4, 5.0, gamma=2.0)[0] == 2.0
 
 
 def test_diagnostic_level_not_reached():

@@ -2,11 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from groupdeconv import cli
 from groupdeconv.cli import main
+from groupdeconv.experiments import RiskReport, ScenarioGrid
 from groupdeconv.inversion import XGrid, l2_distance
 from groupdeconv.samples import Normal, generate_grouped, load_sample
 
@@ -21,6 +24,14 @@ def normal_sum_file(tmp_path):
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def exit_code(args):
+    """main's return value, or the status argparse exits with."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +263,28 @@ def test_simulate_config_rejects_bad_entries(tmp_path, capsys, line, named):
         assert text in err
 
 
+@pytest.mark.parametrize(
+    "flags, changes",
+    [
+        ([], {}),
+        (["--quick"], {"replications": 50}),
+        (["--eta", 1.5, "--seed", 3], {"eta": 1.5, "master_seed": 3}),
+    ],
+    ids=["no-flags", "quick", "eta-seed"],
+)
+def test_simulate_passes_only_the_values_set(tmp_path, monkeypatch, flags, changes):
+    # what no flag sets keeps ScenarioGrid's default, the full study
+    grids = []
+
+    def record(grid):
+        grids.append(grid)
+        return RiskReport([], grid.eta, grid.master_seed, grid.replications)
+
+    monkeypatch.setattr(cli, "run_grid", record)
+    assert run_cli(["simulate", *flags, "--out", tmp_path / "r"]) == 4
+    assert grids == [replace(ScenarioGrid(), **changes)]
+
+
 def test_simulate_bad_thread_count_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GROUPDECONV_THREADS", "abc")
     code = run_cli(
@@ -307,6 +340,46 @@ def test_diagnose_validates_group_size(tmp_path, capsys):
     )
     assert code == 2
     assert "group size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["estimate", "--eta", "nan"], ["--eta", "'nan'"]),
+        (["estimate", "--cutoff", "fixed:nan"], ["--cutoff", "'fixed:nan'"]),
+        (["estimate", "--cutoff", "fixed:inf"], ["--cutoff", "'fixed:inf'"]),
+        (["estimate", "--x-min", -3, "--x-max", "inf"], ["--x-max", "'inf'"]),
+        (["simulate", "--eta", "inf"], ["--eta", "'inf'"]),
+        (["diagnose", "--eps", "nan"], ["--eps", "'nan'"]),
+        (["diagnose", "--delta", "nan"], ["--delta", "'nan'"]),
+        (["diagnose", "--gamma", "nan"], ["--gamma", "'nan'"]),
+        (["diagnose", "--eta", "nan"], ["--eta", "'nan'"]),
+        (["diagnose", "--eps", -1], ["eps=-1", "must be > 0"]),
+    ],
+    ids=[
+        "estimate-eta-nan",
+        "estimate-fixed-nan",
+        "estimate-fixed-inf",
+        "estimate-x-max-inf",
+        "simulate-eta-inf",
+        "diagnose-eps-nan",
+        "diagnose-delta-nan",
+        "diagnose-gamma-nan",
+        "diagnose-eta-nan",
+        "diagnose-eps-minus-1",
+    ],
+)
+def test_bad_float_flag_exits_2_naming_it(tmp_path, normal_sum_file, capsys, args, named):
+    required = {
+        "estimate": ["--input", normal_sum_file, "--group-size", 5],
+        "simulate": ["--law", "normal", "--n", 400, "--group-size", 2, "--reps", 2],
+        "diagnose": ["--law", "normal", "--n", 1000, "--group-size", 5],
+    }
+    assert exit_code(args + required[args[0]] + ["--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for text in named:
+        assert text in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import groupdeconv
 from groupdeconv import experiments
 from groupdeconv.experiments import (
     ScenarioGrid,
-    benchmark_grid,
     law_xgrid,
     resolve_workers,
     run_grid,
@@ -121,11 +120,15 @@ def test_scenario_grid_validation():
 
 
 def test_benchmark_grid_is_full_study():
-    g = benchmark_grid()
+    # the benchmark grid is ScenarioGrid's defaults: 4 laws x 3 ns x 4 Ks
+    g = ScenarioGrid()
+    assert g.laws == tuple(benchmark_laws().values())
+    assert g.ns == (1000, 5000, 10000)
+    assert g.group_sizes == (5, 10, 20, 50)
     assert len(g.cells) == 48
     assert g.replications == 500
+    assert g.master_seed == 20130528
     assert g.eta == 1.1
-    assert {law.name for law in g.laws} == {"normal", "gumbel", "gamma", "laplace"}
 
 
 def test_text_table_alignment():

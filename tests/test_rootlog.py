@@ -6,7 +6,6 @@ from groupdeconv.errors import DenominatorTooSmall, ParameterError
 from groupdeconv.rootlog import (
     default_step,
     denominator_floor,
-    distinguished_log,
     distinguished_root,
     feasible_root,
 )
@@ -19,41 +18,36 @@ def analytic_eval(law, u_max, step, group_size=1.0):
 
 
 # ---------------------------------------------------------------------------
-# distinguished logarithm against closed forms
+# distinguished logarithm against closed forms: with K = 1 the root holds
+# |phi_hat| = exp(Re psi_hat) and the phase Im psi_hat
 # ---------------------------------------------------------------------------
 
 
 def test_log_at_zero_is_zero():
     cf = analytic_eval(Normal(2.0, 1.0), 1.0, 0.01)
-    psi = distinguished_log(cf, 0.0)
-    assert psi.shape == (1,)
-    assert psi[0] == 0.0
+    root = distinguished_root(cf, 0.01)
+    assert root.phase.shape == (2,)
+    assert root.phase[0] == 0.0
+    assert root.modulus_pow[0] == 1.0
 
 
 def test_log_of_gamma_cf_matches_principal_branch():
     # Gamma(6,3): psi(u) = -6 log(1 - iu/3); the principal branch is
     # continuous here because Re(1 - iu/3) = 1 > 0
     cf = analytic_eval(Gamma(6.0, 3.0), 5.0, 1e-3)
-    psi = distinguished_log(cf, 5.0)
+    root = distinguished_root(cf, 5.0)
     u = cf.grid.points
     expected = -6.0 * np.log(1.0 - 1j * u / 3.0)
-    assert np.abs(psi - expected).max() < 1e-6
+    assert np.abs(root.phase - expected.imag).max() < 1e-6
+    assert np.abs(np.log(root.modulus_pow) - expected.real).max() < 1e-6
 
 
 def test_log_of_normal_cf_is_quadratic():
     cf = analytic_eval(Normal(2.0, 1.0), 5.0, 1e-3)
-    psi = distinguished_log(cf, 5.0)
+    root = distinguished_root(cf, 5.0)
     u = cf.grid.points
-    expected = 2j * u - u * u / 2.0
-    assert np.abs(psi - expected).max() < 1e-6
-
-
-def test_log_real_part_consistent_with_modulus():
-    s = generate_grouped(Normal(2.0, 1.0), 500, 2, seed=4)
-    grid = UGrid(1.5, 1e-3)
-    cf = evaluate_grid(s, grid)
-    psi = distinguished_log(cf, 1.5)
-    assert np.abs(psi.real - np.log(cf.abs_phi)).max() < 1e-6
+    assert np.abs(root.phase - 2.0 * u).max() < 1e-6
+    assert np.abs(np.log(root.modulus_pow) + u * u / 2.0).max() < 1e-6
 
 
 def test_exp_reconstruction_and_quadrature_order():
@@ -62,8 +56,8 @@ def test_exp_reconstruction_and_quadrature_order():
     errors = {}
     for step in (4e-3, 2e-3):
         cf = analytic_eval(law, 4.0, step)
-        psi = distinguished_log(cf, 4.0)
-        errors[step] = np.abs(np.exp(psi) - cf.phi).max()
+        root = distinguished_root(cf, 4.0)
+        errors[step] = np.abs(root.values() - cf.phi).max()
     ratio = errors[4e-3] / errors[2e-3]
     assert 3.5 < ratio < 4.5
 
@@ -71,7 +65,7 @@ def test_exp_reconstruction_and_quadrature_order():
 def test_log_respects_range_precondition():
     cf = analytic_eval(Normal(2.0, 1.0), 1.0, 0.01)
     with pytest.raises(ParameterError):
-        distinguished_log(cf, 2.0)
+        distinguished_root(cf, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +77,7 @@ def test_log_respects_range_precondition():
 def test_gamma_root_recovers_fractional_shape(k):
     # (1 - iu/3)^{-6/K} is the cf of Gamma(6/K, 3)
     cf = analytic_eval(Gamma(6.0, 3.0), 5.0, 1e-3, group_size=k)
-    root = distinguished_root(cf, 5.0, k)
+    root = distinguished_root(cf, 5.0)
     target = Gamma(6.0 / k, 3.0).cf(root.grid.points)
     assert np.abs(np.abs(target) - root.modulus_pow).max() < 1e-6
     assert np.abs(root.values() - target).max() < 1e-6
@@ -93,7 +87,7 @@ def test_normal_root_recovers_summand():
     # N(10,5) is the 5-fold sum of N(2,1); |cf| hits the 1e-12 integration
     # floor near u = 3.3, so stay inside the feasible range
     cf = analytic_eval(Normal(10.0, 5.0), 3.0, 1e-3, group_size=5)
-    root = distinguished_root(cf, 3.0, 5)
+    root = distinguished_root(cf, 3.0)
     target = Normal(2.0, 1.0).cf(root.grid.points)
     assert np.abs(root.values() - target).max() < 1e-6
 
@@ -102,14 +96,14 @@ def test_k1_root_is_identity_on_sample():
     s = generate_grouped(Normal(2.0, 1.0), 1000, 1, seed=17)
     grid = UGrid(2.0, 1e-5)
     cf = evaluate_grid(s, grid)
-    root = distinguished_root(cf, 2.0, 1.0)
+    root = distinguished_root(cf, 2.0)
     assert np.abs(root.values() - cf.phi).max() < 1e-8
 
 
 def test_symmetric_laplace_root_is_real_kth_root():
     # centred Laplace has a positive cf, so the root must stay real-positive
     cf = analytic_eval(Laplace(0.0, 1.0 / 3.0), 3.0, 1e-3, group_size=4)
-    root = distinguished_root(cf, 3.0, 4)
+    root = distinguished_root(cf, 3.0)
     assert np.abs(root.phase).max() < 1e-10
     expected = (1.0 + (root.grid.points / 3.0) ** 2) ** -0.25
     np.testing.assert_allclose(root.modulus_pow, expected, atol=1e-12)
@@ -126,7 +120,7 @@ def test_root_endpoint_invariants():
 
 def test_non_integer_group_size_accepted():
     cf = analytic_eval(Normal(10.0, 5.0), 2.0, 1e-3, group_size=2.5)
-    root = distinguished_root(cf, 2.0, 2.5)
+    root = distinguished_root(cf, 2.0)
     target = Normal(4.0, 2.0).cf(root.grid.points)
     assert np.abs(root.values() - target).max() < 1e-6
 
@@ -141,9 +135,9 @@ def test_root_multiplicativity_on_sampled_data():
 
 
 def test_group_size_below_one_rejected():
-    cf = analytic_eval(Normal(2.0, 1.0), 1.0, 0.01)
-    with pytest.raises(ParameterError):
-        distinguished_root(cf, 1.0, 0.5)
+    # the one K >= 1 check sits where an evaluation is built
+    with pytest.raises(ParameterError, match=r"group size must be >= 1 \(got 0.5\)"):
+        analytic_eval(Normal(2.0, 1.0), 1.0, 0.01, group_size=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +156,17 @@ def test_zero_crossing_raises_with_location():
     s = GroupedSample(np.array([-1.0, 1.0]), 1.0)
     cf = evaluate_grid(s, UGrid(2.0, 1e-4))
     with pytest.raises(DenominatorTooSmall) as exc:
-        distinguished_log(cf, 2.0)
+        distinguished_root(cf, 2.0)
     assert abs(exc.value.u - np.pi / 2) < 1e-2
     # requesting only the safe range stays fine
-    psi = distinguished_log(cf, 1.0)
-    assert np.isfinite(psi).all()
+    root = distinguished_root(cf, 1.0)
+    assert np.isfinite(root.values()).all()
 
 
 def test_feasible_root_truncates_instead_of_raising():
     s = GroupedSample(np.array([-1.0, 1.0]), 1.0)
     cf = evaluate_grid(s, UGrid(2.0, 1e-4))
-    root, violation = feasible_root(cf, 1.0)
+    root, violation = feasible_root(cf)
     assert violation is not None
     assert abs(violation - np.pi / 2) < 1e-2
     assert root.u_limit < violation
@@ -181,7 +175,7 @@ def test_feasible_root_truncates_instead_of_raising():
 
 def test_feasible_root_full_range_when_clean():
     cf = analytic_eval(Normal(2.0, 1.0), 2.0, 0.01)
-    root, violation = feasible_root(cf, 1.0)
+    root, violation = feasible_root(cf)
     assert violation is None
     assert root.u_limit == pytest.approx(2.0)
 
@@ -190,7 +184,7 @@ def test_phase_increment_warning():
     # fast-rotating phase: cf of a point mass far from 0 sampled coarsely
     law = Normal(20.0, 1.0)
     cf = analytic_eval(law, 2.0, 0.05)
-    root = distinguished_root(cf, 2.0, 1.0)
+    root = distinguished_root(cf, 2.0)
     assert root.warnings, "expected phase-step sanity records"
 
 

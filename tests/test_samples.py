@@ -16,7 +16,6 @@ from groupdeconv.samples import (
     law_from_name,
     load_sample,
     make_rng,
-    true_cf,
 )
 
 ALL_LAWS = list(benchmark_laws().values())
@@ -107,18 +106,18 @@ def test_generate_rejects_bad_parameters():
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.name)
 def test_cf_at_zero_is_one(law):
-    assert true_cf(law, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-14)
+    assert law.cf(0.0) == pytest.approx(1.0 + 0.0j, abs=1e-14)
 
 
 def test_normal_cf_closed_form():
-    assert true_cf(Normal(2.0, 1.0), 1.0) == pytest.approx(
+    assert Normal(2.0, 1.0).cf(1.0) == pytest.approx(
         np.exp(2.0j - 0.5), abs=1e-14
     )
 
 
 def test_gamma_cf_closed_form():
     # (1 - i)^-6 = -1/8 i
-    assert true_cf(Gamma(6.0, 3.0), 3.0) == pytest.approx(-0.125j, abs=1e-14)
+    assert Gamma(6.0, 3.0).cf(3.0) == pytest.approx(-0.125j, abs=1e-14)
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.name)
