@@ -15,6 +15,7 @@ from groupdeconv import (
     Gumbel,
     UGrid,
     adaptive_cutoff,
+    default_step,
     default_xgrid,
     distinguished_root,
     evaluate_grid,
@@ -35,14 +36,15 @@ print(f"adaptive cutoff: m = {cutoff.value:.4f} "
       f"(threshold {cutoff.params['threshold']:.4f}, "
       f"cap {cutoff.params['cap']:.4f}, hit: {cutoff.threshold_hit})")
 
-step = 0.002
+# the frequency step `groupdeconv estimate` uses for this cutoff
+step = default_step(cutoff.value)
 cf = evaluate_grid(sample, UGrid(u_max=cutoff.value + step, step=step))
 root = distinguished_root(cf, cutoff.value)
 
 xgrid = default_xgrid(sample)
 estimate = invert(root, cutoff.value, xgrid)
 
-risk = l2_distance(law.pdf, estimate, xgrid)
+risk = l2_distance(estimate.values, law.pdf, xgrid)
 print(f"squared L2 distance to the true density: {risk:.5f}")
 
 truth = law.pdf(xgrid.points)

@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 
 from .charfn import CfEvaluation, UGrid, ecf_at, evaluate_grid
 from .errors import LevelNotReached, ParameterError
-from .inversion import XGrid, invert_prefixes
+from .inversion import XGrid, invert_prefixes, l2_distance
 from .rootlog import MAX_STEP, RootEstimate, default_step, feasible_root
 from .samples import GroupedSample, TestLaw
 
@@ -30,6 +30,7 @@ __all__ = [
     "DEFAULT_ETA",
     "K1_CAP",
     "CutoffRecord",
+    "check_eta",
     "threshold_value",
     "scan_grid",
     "adaptive_cutoff",
@@ -59,7 +60,7 @@ class CutoffRecord:
     """
 
     value: float
-    rule: str  # adaptive | oracle | fixed | diagnostic
+    rule: str  # adaptive | oracle
     threshold_hit: bool
     scan_resolution: float
     params: dict = field(default_factory=dict)
@@ -74,12 +75,17 @@ class CutoffRecord:
         }
 
 
+def check_eta(eta: float) -> None:
+    """The one rule on the threshold constant: a finite number > 1."""
+    if not (math.isfinite(eta) and eta > 1):
+        raise ParameterError(f"eta must be a finite number > 1 (got {eta})")
+
+
 def threshold_value(n: int, group_size: float, eta: float) -> float:
     """The adaptive rule's |phi_hat| threshold t(n, K, eta)."""
     if n < 2:
         raise ParameterError(f"need n >= 2 (got {n})")
-    if eta <= 1:
-        raise ParameterError(f"eta must be > 1 (got {eta})")
+    check_eta(eta)
     return (group_size * n) ** -0.5 + math.sqrt(
         eta * math.log(n) / group_size
     ) / math.sqrt(n)
@@ -155,10 +161,7 @@ def oracle_risks(
     if not ks:
         raise ParameterError("no usable cutoff candidates on the root grid")
     snapped = np.array([k * step for k in ks])
-    estimates = invert_prefixes(root, snapped, xgrid)
-    target = density(xgrid.points) if callable(density) else np.asarray(density)
-    risks = np.trapezoid((estimates - target) ** 2, dx=xgrid.spacing, axis=1)
-    return snapped, risks
+    return snapped, l2_distance(invert_prefixes(root, snapped, xgrid), density, xgrid)
 
 
 def oracle_cutoff(law: TestLaw, sample: GroupedSample, xgrid: XGrid) -> CutoffRecord:

@@ -60,10 +60,10 @@ class CfEvaluation:
     """phi_hat and phi_hat' on the nonnegative half of a UGrid.
 
     The arrays ``phi_centered``/``dphi_centered`` belong to the recentred
-    observations Y - center; the public accessors fold the exact phase
-    factor e^{iu*center} back in.  ``n`` is None for evaluations built from
-    an analytic characteristic function rather than data.  ``group_size`` is
-    the K whose root the pipeline takes; any real value >= 1 is accepted.
+    observations Y - center: phi_hat(u) = e^{iu*center} phi_centered(u).
+    ``n`` is None for evaluations built from an analytic characteristic
+    function rather than data.  ``group_size`` is the K whose root the
+    pipeline takes; any real value >= 1 is accepted.
     """
 
     grid: UGrid
@@ -76,20 +76,6 @@ class CfEvaluation:
     def __post_init__(self):
         if not (self.group_size >= 1):
             raise ParameterError(f"group size must be >= 1 (got {self.group_size})")
-
-    @property
-    def phi(self) -> np.ndarray:
-        """phi_hat(u) on the nonnegative grid points."""
-        u = self.grid.points
-        return np.exp(1j * self.center * u) * self.phi_centered
-
-    @property
-    def dphi(self) -> np.ndarray:
-        """phi_hat'(u) on the nonnegative grid points."""
-        u = self.grid.points
-        return np.exp(1j * self.center * u) * (
-            1j * self.center * self.phi_centered + self.dphi_centered
-        )
 
     @property
     def abs_phi(self) -> np.ndarray:

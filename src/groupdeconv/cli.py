@@ -23,6 +23,7 @@ import numpy as np
 from .bandwidth import (
     DEFAULT_ETA,
     adaptive_cutoff,
+    check_eta,
     cutoff_cap,
     diagnostic_level,
     diagnostic_threshold_u,
@@ -55,18 +56,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _defaults_metadata(args) -> dict:
-    """Every tunable that shaped the output, echoed into the result files."""
-    count = getattr(args, "x_count", X_COUNT)
-    return {
-        "eta": args.eta,
-        "scan_resolution": MAX_STEP,
-        "x_grid_policy": f"center mean(Y)/K, half-width 8*sd(X), {count} points",
-        "replications": getattr(args, "reps", None),
-        "seed": getattr(args, "seed", None),
-    }
-
-
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -91,19 +80,21 @@ def _parse_cutoff_flag(text: str):
 
 
 def cmd_estimate(args) -> int:
-    if args.group_size < 1:
-        raise ParameterError(f"group size must be >= 1 (got {args.group_size:g})")
-    if args.eta <= 1:
-        raise ParameterError(f"eta must be > 1 (got {args.eta})")
+    check_eta(args.eta)
     sample = load_sample(args.input, args.group_size)
     rule, fixed_m = _parse_cutoff_flag(args.cutoff)
 
+    # every tunable that shaped the estimate, and only those, goes into its JSON
+    defaults = {"eta": args.eta, "scan_resolution": MAX_STEP} if rule == "adaptive" else {}
     if args.x_min is not None or args.x_max is not None:
         if args.x_min is None or args.x_max is None:
             raise ParameterError("--x-min and --x-max must be given together")
         xgrid = XGrid(args.x_min, args.x_max, args.x_count)
     else:
         xgrid = default_xgrid(sample, args.x_count)
+        defaults["x_grid_policy"] = (
+            f"center mean(Y)/K, half-width 8*sd(X), {args.x_count} points"
+        )
 
     if rule == "adaptive":
         record = adaptive_cutoff(sample, args.eta)
@@ -129,7 +120,7 @@ def cmd_estimate(args) -> int:
     cutoff_rule = record.as_dict() if record is not None else {"rule": "fixed"}
     est = replace(
         invert(root, m, xgrid),
-        cutoff_rule=cutoff_rule | {"defaults": _defaults_metadata(args)},
+        cutoff_rule=cutoff_rule | {"defaults": defaults},
         provenance={"n": sample.n, "source": str(args.input)},
     )
     out = Path(args.out)
@@ -260,7 +251,7 @@ def cmd_diagnose(args) -> int:
         "adaptive_threshold": t,
         "cutoff_cap": cap,
         "warning": warning,
-        "defaults": _defaults_metadata(args),
+        "defaults": {"eta": args.eta},
     }
 
     u_hi = max(cap, (u_n or 0.0) * 1.5, 1.0)

@@ -19,6 +19,7 @@ import numpy as np
 from .bandwidth import (
     DEFAULT_ETA,
     adaptive_cutoff,
+    check_eta,
     cutoff_cap,
     default_oracle_grid,
     oracle_risks,
@@ -42,6 +43,9 @@ __all__ = [
 
 THREADS_ENV = "GROUPDECONV_THREADS"
 
+# Replications per task: the unit of work a simulation worker receives.
+BLOCK_SIZE = 25
+
 
 @dataclass(frozen=True)
 class ScenarioGrid:
@@ -64,8 +68,7 @@ class ScenarioGrid:
             raise ParameterError(
                 f"every group size must be >= 1 (got {list(self.group_sizes)})"
             )
-        if not self.eta > 1:
-            raise ParameterError(f"eta must be > 1 (got {self.eta})")
+        check_eta(self.eta)
 
     @property
     def cells(self) -> list:
@@ -98,9 +101,9 @@ def run_replication(
     group_size: int,
     eta: float = DEFAULT_ETA,
     seed=0,
-    xgrid: XGrid | None = None,
 ) -> ReplicationResult:
-    """One sample, both estimators, both risks (same sample, same x-grid).
+    """One sample, both estimators, both risks (same sample, same x-grid
+    ``law_xgrid(law)``).
 
     One evaluation on the adaptive scan grid serves both the threshold scan
     and the root, so the root's step is MAX_STEP.
@@ -117,12 +120,9 @@ def run_replication(
         )
 
     root, _violation = feasible_root(ev)
-    if xgrid is None:
-        xgrid = law_xgrid(law)
-
     cap = cutoff_cap(n, sample.group_size)
     candidates = default_oracle_grid(min(cap, root.u_limit))
-    ms, risks = oracle_risks(root, law.pdf, np.append(candidates, m_hat), xgrid)
+    ms, risks = oracle_risks(root, law.pdf, np.append(candidates, m_hat), law_xgrid(law))
 
     k_hat = max(1, root.grid.index_of(min(m_hat, root.u_limit)))
     pos = int(np.searchsorted(ms, k_hat * step))
@@ -144,9 +144,8 @@ def run_replication(
 # ---------------------------------------------------------------------------
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
+def resolve_workers() -> int:
+    """The worker count GROUPDECONV_THREADS asks for; 1 when it is unset."""
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
@@ -161,14 +160,10 @@ def resolve_workers(workers: int | None = None) -> int:
 def _run_cell_block(args):
     """Worker entry: one block of replications for one cell."""
     law, n, k, eta, master_seed, cell_idx, rep_indices = args
-    xgrid = law_xgrid(law)
     out = []
     for rep in rep_indices:
         try:
-            res = run_replication(
-                law, n, k, eta, seed=(master_seed, cell_idx, rep), xgrid=xgrid
-            )
-            out.append(res)
+            out.append(run_replication(law, n, k, eta, seed=(master_seed, cell_idx, rep)))
         except GroupDeconvError as exc:
             out.append(f"{type(exc).__name__}: {exc} [law={law.label} n={n} K={k} rep={rep}]")
     return out
@@ -255,11 +250,7 @@ class RiskReport:
         return "\n".join(lines) + "\n"
 
 
-def run_grid(
-    grid: ScenarioGrid,
-    workers: int | None = None,
-    block_size: int = 25,
-) -> RiskReport:
+def run_grid(grid: ScenarioGrid) -> RiskReport:
     """Every cell of the grid; deterministic for a fixed master seed.
 
     Replications are independent tasks with derived seeds; results reduce
@@ -271,7 +262,7 @@ def run_grid(
     tasks = []
     for cell_idx, (law, n, k) in enumerate(cells):
         reps = list(range(grid.replications))
-        for start in range(0, len(reps), block_size):
+        for start in range(0, len(reps), BLOCK_SIZE):
             tasks.append(
                 (
                     law,
@@ -280,12 +271,12 @@ def run_grid(
                     grid.eta,
                     grid.master_seed,
                     cell_idx,
-                    reps[start : start + block_size],
+                    reps[start : start + BLOCK_SIZE],
                 )
             )
 
     # more processes than tasks or CPUs would only wait
-    n_workers = min(resolve_workers(workers), len(tasks), os.cpu_count() or 1)
+    n_workers = min(resolve_workers(), len(tasks), os.cpu_count() or 1)
     if n_workers == 1:
         block_results = [_run_cell_block(t) for t in tasks]
     else:

@@ -188,38 +188,12 @@ def invert_prefixes(root: RootEstimate, ms, xgrid: XGrid) -> np.ndarray:
     return sums.real / math.pi
 
 
-def _values_on(f, xgrid: XGrid) -> np.ndarray:
-    """Evaluate a density-like object on the grid points."""
-    x = xgrid.points
-    if isinstance(f, DensityEstimate):
-        if f.xgrid == xgrid:
-            return f.values
-        return np.interp(x, f.xgrid.points, f.values)
-    if callable(f):
-        return np.asarray(f(x), dtype=float)
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != x.shape:
-        raise ParameterError(
-            f"array of shape {arr.shape} does not match the x-grid ({x.shape})"
-        )
-    return arr
-
-
-def l2_distance(a, b, xgrid: XGrid | None = None) -> float:
+def l2_distance(values, density, xgrid: XGrid):
     """Trapezoid approximation of the squared L2 distance on the grid.
 
-    ``a`` and ``b`` may be DensityEstimates, callables, or arrays on the
-    grid; estimates on a different grid are linearly interpolated onto it.
+    ``values`` holds an estimate on the grid points, or a batch of them one
+    per row; ``density`` is a callable or an array on the same points.
+    Returns a float for one estimate and one distance per row for a batch.
     """
-    if xgrid is None:
-        for cand in (b, a):
-            if isinstance(cand, DensityEstimate):
-                xgrid = cand.xgrid
-                break
-        else:
-            raise ParameterError("an explicit x-grid is required")
-    va = _values_on(a, xgrid)
-    vb = _values_on(b, xgrid)
-    diff = va - vb
-    return float(np.trapezoid(diff * diff, xgrid.points))
-
+    target = density(xgrid.points) if callable(density) else np.asarray(density)
+    return np.trapezoid((values - target) ** 2, dx=xgrid.spacing, axis=-1)

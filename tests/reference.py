@@ -14,6 +14,18 @@ def ecf_derivative_at(sample, u):
     return complex(vals) if np.isscalar(u) or u_arr.ndim == 0 else vals
 
 
+def phi(ev):
+    """phi_hat(u) on a CfEvaluation's nonnegative grid points."""
+    return np.exp(1j * ev.center * ev.grid.points) * ev.phi_centered
+
+
+def dphi(ev):
+    """phi_hat'(u) on a CfEvaluation's nonnegative grid points."""
+    return np.exp(1j * ev.center * ev.grid.points) * (
+        1j * ev.center * ev.phi_centered + ev.dphi_centered
+    )
+
+
 def root_from_values(grid, values, group_size=1.0):
     """Wrap characteristic-function values given directly on a grid.
 

@@ -14,11 +14,11 @@ import pytest
 
 from groupdeconv.bandwidth import adaptive_cutoff, cutoff_cap
 from groupdeconv.charfn import CfEvaluation, UGrid, evaluate_grid
-from groupdeconv.experiments import ScenarioGrid, law_xgrid, run_grid, run_replication
+from groupdeconv.experiments import ScenarioGrid, run_grid, run_replication
 from groupdeconv.inversion import XGrid, invert
 from groupdeconv.rootlog import distinguished_root, feasible_root
 from groupdeconv.samples import Gamma, Normal, benchmark_laws, generate_grouped, make_rng
-from reference import energy_u, energy_x, root_from_values
+from reference import energy_u, energy_x, phi, root_from_values
 
 LAWS = benchmark_laws()
 
@@ -88,7 +88,7 @@ def test_criterion_2_k1_reduction():
         sample = generate_grouped(Normal(2.0, 1.0), 1000, 1, seed=(2001, rep))
         ev = evaluate_grid(sample, grid)
         pipeline = invert(distinguished_root(ev, m), m, xg)
-        direct = invert(root_from_values(grid, ev.phi, 1.0), m, xg)
+        direct = invert(root_from_values(grid, phi(ev), 1.0), m, xg)
         worst = max(worst, np.abs(pipeline.values - direct.values).max())
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8
@@ -266,9 +266,8 @@ def test_criterion_6_oracle_dominance():
     total = 0
     for name, n, k in scenarios:
         law = LAWS[name]
-        xg = law_xgrid(law)
         for rep in range(100):
-            r = run_replication(law, n, k, seed=(6000, n, k, rep), xgrid=xg)
+            r = run_replication(law, n, k, seed=(6000, n, k, rep))
             total += 1
             if r.risk_oracle > r.risk_adaptive + 1e-6:
                 violations += 1

@@ -50,6 +50,13 @@ def test_threshold_validation():
         threshold_value(1000, 5.0, 1.0)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf])
+def test_adaptive_cutoff_rejects_non_finite_eta(eta):
+    s = generate_grouped(Normal(), 1000, 5, seed=1)
+    with pytest.raises(ParameterError, match="eta must be a finite number > 1"):
+        adaptive_cutoff(s, eta=eta)
+
+
 def test_cutoff_cap():
     assert cutoff_cap(1000, 5.0) == pytest.approx(1000 ** 0.2)
     assert cutoff_cap(10**4, 1.0) == 1000.0  # K=1 uses the configurable cap
@@ -187,7 +194,7 @@ def test_oracle_beats_or_matches_adaptive_when_injected():
         candidates = np.append(default_oracle_grid(min(cap, root.u_limit)), rec_a.value)
         _ms, risks = oracle_risks(root, law.pdf, candidates, xg)
         # by argmin dominance the oracle risk cannot exceed the adaptive one
-        risk_a = l2_distance(law.pdf, invert(root, rec_a.value, xg), xg)
+        risk_a = l2_distance(invert(root, rec_a.value, xg).values, law.pdf, xg)
         assert risks.min() <= risk_a + 1e-6
 
 

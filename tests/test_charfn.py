@@ -10,7 +10,7 @@ from groupdeconv._nufft import _MSP, uniform_cf_sums
 from groupdeconv.charfn import CfEvaluation, UGrid, ecf_at, evaluate_grid
 from groupdeconv.errors import ParameterError
 from groupdeconv.samples import GroupedSample, Normal, generate_grouped, make_rng
-from reference import ecf_derivative_at
+from reference import dphi, ecf_derivative_at, phi
 
 
 def normal_sum_sample(n=2000, k=5, seed=11):
@@ -111,8 +111,8 @@ def test_grid_eval_matches_pointwise():
     grid = UGrid(u_max=4.0, step=0.01)
     ev = evaluate_grid(s, grid)
     u = grid.points
-    np.testing.assert_allclose(ev.phi, ecf_at(s, u), atol=1e-12)
-    np.testing.assert_allclose(ev.dphi, ecf_derivative_at(s, u), atol=1e-12)
+    np.testing.assert_allclose(phi(ev), ecf_at(s, u), atol=1e-12)
+    np.testing.assert_allclose(dphi(ev), ecf_derivative_at(s, u), atol=1e-12)
 
 
 def test_grid_eval_matches_pointwise_large():
@@ -122,15 +122,15 @@ def test_grid_eval_matches_pointwise_large():
     ev = evaluate_grid(s, grid)
     idx = np.array([0, 1, 17, 512, 1024, 2049, 4096])
     u = grid.points[idx]
-    np.testing.assert_allclose(ev.phi[idx], ecf_at(s, u), atol=1e-12)
-    np.testing.assert_allclose(ev.dphi[idx], ecf_derivative_at(s, u), atol=1e-12)
+    np.testing.assert_allclose(phi(ev)[idx], ecf_at(s, u), atol=1e-12)
+    np.testing.assert_allclose(dphi(ev)[idx], ecf_derivative_at(s, u), atol=1e-12)
 
 
 def test_grid_eval_endpoint_invariants():
     s = normal_sum_sample()
     ev = evaluate_grid(s, UGrid(1.0, 0.01))
-    assert ev.phi[0] == 1.0 + 0.0j
-    assert ev.dphi[0] == pytest.approx(1j * s.mean, abs=1e-13)
+    assert phi(ev)[0] == 1.0 + 0.0j
+    assert dphi(ev)[0] == pytest.approx(1j * s.mean, abs=1e-13)
     assert np.all(ev.abs_phi <= 1 + 1e-12)
 
 
@@ -147,7 +147,7 @@ def test_from_function_wraps_analytic_cf():
     law = Normal(2.0, 1.0)
     grid = UGrid(3.0, 0.01)
     ev = CfEvaluation.from_function(law.cf, law.cf_prime, grid, group_size=1.0)
-    np.testing.assert_allclose(ev.phi, law.cf(grid.points), atol=1e-15)
+    np.testing.assert_allclose(phi(ev), law.cf(grid.points), atol=1e-15)
     assert ev.n is None
 
 

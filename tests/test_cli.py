@@ -7,7 +7,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from groupdeconv import cli
+from groupdeconv import (
+    UGrid,
+    adaptive_cutoff,
+    cli,
+    default_step,
+    default_xgrid,
+    distinguished_root,
+    evaluate_grid,
+    invert,
+)
 from groupdeconv.cli import main
 from groupdeconv.experiments import RiskReport, ScenarioGrid
 from groupdeconv.inversion import XGrid, l2_distance
@@ -65,7 +74,39 @@ def test_estimate_recovers_summand_density(tmp_path, normal_sum_file):
     x, fhat = rows[:, 0], rows[:, 1]
     law = Normal(2.0, 1.0)
     xg = XGrid(x[0], x[-1], x.size)
-    assert l2_distance(law.pdf(xg.points), fhat, xg) < 0.05
+    assert l2_distance(fhat, law.pdf, xg) < 0.05
+
+
+def test_library_route_reproduces_estimate(tmp_path, normal_sum_file):
+    # the composition the README tour and demo 01 document
+    assert run_cli(
+        ["estimate", "--input", normal_sum_file, "--group-size", 5, "--out", tmp_path / "e"]
+    ) == 0
+    sample = load_sample(normal_sum_file, 5)
+    cutoff = adaptive_cutoff(sample, eta=1.1)
+    step = default_step(cutoff.value)
+    cf = evaluate_grid(sample, UGrid(u_max=cutoff.value + step, step=step))
+    root = distinguished_root(cf, cutoff.value)
+    estimate = invert(root, cutoff.value, default_xgrid(sample))
+    payload = json.loads((tmp_path / "e.json").read_text())
+    assert payload["values"] == estimate.values.tolist()
+
+
+@pytest.mark.parametrize(
+    "flags, keys",
+    [
+        ([], ["eta", "scan_resolution", "x_grid_policy"]),
+        (["--x-min", -3, "--x-max", 7], ["eta", "scan_resolution"]),
+        (["--cutoff", "fixed:1.5"], ["x_grid_policy"]),
+        (["--cutoff", "oracle", "--law", "normal"], ["x_grid_policy"]),
+    ],
+    ids=["adaptive", "explicit-grid", "fixed", "oracle"],
+)
+def test_estimate_records_only_the_defaults_it_used(tmp_path, normal_sum_file, flags, keys):
+    argv = ["estimate", "--input", normal_sum_file, "--group-size", 5, *flags]
+    assert run_cli([*argv, "--out", tmp_path / "e"]) == 0
+    payload = json.loads((tmp_path / "e.json").read_text())
+    assert sorted(payload["cutoff"]["defaults"]) == keys
 
 
 def test_estimate_rejects_small_group_size(tmp_path, normal_sum_file, capsys):
@@ -219,6 +260,15 @@ def test_simulate_config_file(tmp_path):
     assert "eta=1.2" in (tmp_path / "cfg_risks.txt").read_text()
 
 
+def test_simulate_config_rejects_non_finite_eta(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("laws = normal\nns = 400\ngroup_sizes = 2\nreps = 2\neta = inf\n")
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert "eta must be a finite number > 1 (got inf)" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_all_failed_exit_code(tmp_path):
     code = run_cli(
         ["simulate", "--law", "normal", "--n", 2, "--group-size", 1,
@@ -315,6 +365,7 @@ def test_diagnose_normal_matches_closed_form(tmp_path):
     expected = math.sqrt(-2.0 * math.log(level) / 5)
     assert abs(payload["u_gamma_eps"] - expected) < 1e-6
     assert payload["warning"] is None
+    assert payload["defaults"] == {"eta": 1.1}  # no scan, no x-grid
     lines = (tmp_path / "diag.csv").read_text().splitlines()
     assert lines[0] == "u,abs_phi_x,abs_phi"
     u, ax, a = lines[1].split(",")

@@ -80,11 +80,14 @@ def test_grid_shape_and_schema():
     assert lines[1].startswith("normal,400,2,oracle,")
 
 
-def test_grid_deterministic_and_worker_independent():
+def test_grid_deterministic_and_worker_independent(monkeypatch):
     g = tiny_grid()
-    a = run_grid(g, workers=1).to_csv()
-    b = run_grid(g, workers=1).to_csv()
-    c = run_grid(g, workers=2, block_size=1).to_csv()
+    monkeypatch.setenv("GROUPDECONV_THREADS", "1")
+    a = run_grid(g).to_csv()
+    b = run_grid(g).to_csv()
+    monkeypatch.setenv("GROUPDECONV_THREADS", "2")
+    monkeypatch.setattr(experiments, "BLOCK_SIZE", 1)
+    c = run_grid(g).to_csv()
     assert a == b
     assert a == c
 
@@ -142,7 +145,6 @@ def test_text_table_alignment():
 def test_resolve_workers_env(monkeypatch):
     monkeypatch.delenv("GROUPDECONV_THREADS", raising=False)
     assert resolve_workers() == 1
-    assert resolve_workers(4) == 4
     monkeypatch.setenv("GROUPDECONV_THREADS", "3")
     assert resolve_workers() == 3
     monkeypatch.setenv("GROUPDECONV_THREADS", "abc")
@@ -176,10 +178,13 @@ def test_run_grid_clamps_workers_to_tasks_and_cpus(
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(experiments, "BLOCK_SIZE", block_size)
+    monkeypatch.setenv("GROUPDECONV_THREADS", str(10**6))
     g = tiny_grid()  # 2 cells x 3 replications
-    report = run_grid(g, workers=10**6, block_size=block_size)
+    report = run_grid(g)
     assert requested == ([] if expected is None else [expected])
-    assert report.to_csv() == run_grid(g, workers=1).to_csv()
+    monkeypatch.setenv("GROUPDECONV_THREADS", "1")
+    assert report.to_csv() == run_grid(g).to_csv()
 
 
 def test_mean_cutoff_decreases_with_group_size():

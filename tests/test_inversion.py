@@ -7,7 +7,6 @@ import pytest
 from groupdeconv.charfn import CfEvaluation, UGrid, evaluate_grid
 from groupdeconv.errors import CutoffExceedsRange, ParameterError
 from groupdeconv.inversion import (
-    DensityEstimate,
     XGrid,
     default_xgrid,
     invert,
@@ -16,7 +15,7 @@ from groupdeconv.inversion import (
 )
 from groupdeconv.rootlog import distinguished_root
 from groupdeconv.samples import Gamma, Normal, generate_grouped
-from reference import energy_u, energy_x, root_from_values
+from reference import energy_u, energy_x, phi, root_from_values
 
 
 def analytic_root(law, u_max, step, k=1.0):
@@ -104,7 +103,7 @@ def test_k1_pipeline_reduces_to_direct_inversion():
     xg = XGrid(-2.0, 6.0, 257)
     est = invert(root, 2.0, xg)
 
-    vals = cf.phi
+    vals = phi(cf)
     weights = np.full(vals.size, grid.step)
     weights[0] = weights[-1] = grid.step / 2
     direct = (
@@ -174,7 +173,7 @@ def test_monotone_truncation_on_analytic_input():
     law = Normal(2.0, 1.0)
     root = analytic_root(law, 8.0, 0.002)
     xg = XGrid(-4.0, 8.0, 513)
-    risks = [l2_distance(law.pdf, invert(root, m, xg)) for m in (1, 2, 4, 8)]
+    risks = [l2_distance(invert(root, m, xg).values, law.pdf, xg) for m in (1, 2, 4, 8)]
     for lo, hi in zip(risks[1:], risks[:-1]):
         assert lo <= hi + 1e-8
 
@@ -187,7 +186,7 @@ def test_monotone_truncation_on_analytic_input():
 def test_l2_distance_of_identical_is_zero():
     law = Normal(2.0, 1.0)
     xg = XGrid(-3.0, 7.0, 301)
-    assert l2_distance(law.pdf, law.pdf, xg) == 0.0
+    assert l2_distance(law.pdf(xg.points), law.pdf, xg) == 0.0
 
 
 def test_l2_distance_zero_vs_gaussian():
@@ -210,18 +209,16 @@ def test_l2_distance_shifted_gaussian_fine_grid_oracle():
     assert abs(d - expected) < 1e-2 * expected
 
 
-def test_l2_distance_interpolates_between_grids():
+def test_l2_distance_batch_matches_rows():
+    # the oracle scores a whole batch of cutoffs in one call
     law = Normal(2.0, 1.0)
-    xg_a = XGrid(-3.0, 7.0, 801)
-    est = DensityEstimate(
-        xgrid=XGrid(-3.0, 7.0, 1601),
-        values=law.pdf(XGrid(-3.0, 7.0, 1601).points),
-        cutoff_m=1.0,
-        cutoff_rule={"rule": "fixed"},
-        group_size=1.0,
-        provenance={},
-    )
-    assert l2_distance(law.pdf, est, xg_a) < 1e-10
+    root = analytic_root(law, 4.0, 0.01)
+    xg = XGrid(-3.0, 7.0, 301)
+    batch = invert_prefixes(root, [0.5, 1.0, 2.0, 4.0], xg)
+    risks = l2_distance(batch, law.pdf, xg)
+    assert risks.shape == (4,)
+    for row, risk in zip(batch, risks):
+        assert risk == l2_distance(row, law.pdf, xg)
 
 
 # ---------------------------------------------------------------------------

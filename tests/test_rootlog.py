@@ -10,6 +10,7 @@ from groupdeconv.rootlog import (
     feasible_root,
 )
 from groupdeconv.samples import Gamma, GroupedSample, Laplace, Normal, generate_grouped
+from reference import phi
 
 
 def analytic_eval(law, u_max, step, group_size=1.0):
@@ -57,7 +58,7 @@ def test_exp_reconstruction_and_quadrature_order():
     for step in (4e-3, 2e-3):
         cf = analytic_eval(law, 4.0, step)
         root = distinguished_root(cf, 4.0)
-        errors[step] = np.abs(root.values() - cf.phi).max()
+        errors[step] = np.abs(root.values() - phi(cf)).max()
     ratio = errors[4e-3] / errors[2e-3]
     assert 3.5 < ratio < 4.5
 
@@ -97,7 +98,7 @@ def test_k1_root_is_identity_on_sample():
     grid = UGrid(2.0, 1e-5)
     cf = evaluate_grid(s, grid)
     root = distinguished_root(cf, 2.0)
-    assert np.abs(root.values() - cf.phi).max() < 1e-8
+    assert np.abs(root.values() - phi(cf)).max() < 1e-8
 
 
 def test_symmetric_laplace_root_is_real_kth_root():
@@ -131,7 +132,7 @@ def test_root_multiplicativity_on_sampled_data():
     cf = evaluate_grid(s, UGrid(1.0, 1e-4))
     root = distinguished_root(cf, 1.0)
     rebuilt = np.exp(2.0 * (np.log(root.modulus_pow) + 1j * root.phase))
-    assert np.abs(rebuilt - cf.phi).max() < 1e-7
+    assert np.abs(rebuilt - phi(cf)).max() < 1e-7
 
 
 def test_group_size_below_one_rejected():
