@@ -43,7 +43,11 @@ def uniform_cf_sums(y, step, n_modes, weight_sets):
     tau = np.pi * _MSP / (mtot * mtot) / (ratio * (ratio - 0.5))
     h = 2.0 * np.pi / mr
 
-    theta = np.mod(step * y, 2.0 * np.pi)  # in [0, 2pi], so m0 in [0, mr]
+    # step*y reduced mod 2pi; np.mod is several times slower.  Rounding can
+    # leave a hair outside [0, 2pi], and the clip keeps m0 in [0, mr]
+    theta = step * y
+    theta -= (2.0 * np.pi) * np.floor(theta / (2.0 * np.pi))
+    np.clip(theta, 0.0, 2.0 * np.pi, out=theta)
     m0 = np.floor(theta / h).astype(np.int64)
     dx = theta - m0 * h
     del theta

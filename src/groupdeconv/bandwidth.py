@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .charfn import CfEvaluation, UGrid, ecf_at, evaluate_grid
+from .charfn import CfEvaluation, UGrid, ecf_crossing, evaluate_grid
 from .errors import LevelNotReached, ParameterError
 from .inversion import XGrid, invert_prefixes, l2_distance
 from .rootlog import MAX_STEP, RootEstimate, default_step, feasible_root
@@ -108,7 +108,7 @@ def adaptive_cutoff(
     sample: GroupedSample, eta: float = DEFAULT_ETA, ev: CfEvaluation | None = None
 ) -> CutoffRecord:
     """Data-driven cutoff: scan |phi_hat| on ``scan_grid(sample)``, refine the
-    first threshold crossing with Brent's method, cap at n^{1/K}.
+    first threshold crossing with ``ecf_crossing``, cap at n^{1/K}.
 
     ``ev`` is an evaluation of the sample on ``scan_grid(sample)`` to reuse,
     with or without the derivative; without it |phi_hat| alone is evaluated.
@@ -118,25 +118,20 @@ def adaptive_cutoff(
     if ev is None:
         ev = evaluate_grid(sample, scan_grid(sample), with_derivative=False)
     params = {"eta": eta, "threshold": t, "cap": cap}
-    below = np.flatnonzero(ev.abs_phi <= t)
     u = ev.grid.points
-    if below.size == 0 or u[below[0]] >= cap:
-        return CutoffRecord(cap, "adaptive", False, MAX_STEP, params)
-    k = int(below[0])
+    below = np.flatnonzero(ev.abs_phi <= t)
+    k = int(below[0]) if below.size else u.size
     if k == 0:
         # |phi_hat(0)| = 1 <= t only for degenerate thresholds (t >= 1)
         return CutoffRecord(0.0, "adaptive", True, MAX_STEP, params)
-    # The sample goes in through ``args``, not a closure: brentq wraps the
-    # function in a closure that refers to itself, and a closure over the
-    # sample would keep it alive until the cyclic garbage collector runs.
-    value = brentq(
-        lambda v, s, level: abs(ecf_at(s, v)) - level,
-        u[k - 1],
-        u[k],
-        args=(sample, t),
-        xtol=1e-12,
-    )
-    return CutoffRecord(min(value, cap), "adaptive", True, MAX_STEP, params)
+    # the scan point past the crossing may lie beyond the cap when the
+    # crossing itself does not, so refine whenever the bracket starts below it
+    value = cap
+    if k < u.size and u[k - 1] < cap:
+        value = ecf_crossing(sample, t, u[k - 1], u[k])
+    if value >= cap:
+        return CutoffRecord(cap, "adaptive", False, MAX_STEP, params)
+    return CutoffRecord(value, "adaptive", True, MAX_STEP, params)
 
 
 def default_oracle_grid(u_hi: float) -> np.ndarray:

@@ -6,6 +6,8 @@ their sample mean before transforming: phi_hat(u) = e^{iuc} * mean_j
 e^{iu(Y_j - c)} is an exact identity, and downstream quadrature of the
 log-derivative is much better conditioned on the centred factor (whose
 derivatives scale with the spread of Y rather than with its location).
+Between two grid points, ``ecf_crossing`` locates where |phi_hat| falls to
+a level from one Taylor expansion of the centred factor.
 """
 from __future__ import annotations
 
@@ -17,7 +19,12 @@ from ._nufft import uniform_cf_sums
 from .errors import ParameterError
 from .samples import GroupedSample
 
-__all__ = ["UGrid", "CfEvaluation", "ecf_at", "evaluate_grid"]
+__all__ = ["UGrid", "CfEvaluation", "ecf_at", "ecf_crossing", "evaluate_grid"]
+
+# The crossing's Taylor series stops once its remainder bound is below this.
+SERIES_TOL = 1e-17
+# The crossing's bisection stops once its bracket is this narrow.
+CROSSING_XTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -101,6 +108,66 @@ def ecf_at(sample: GroupedSample, u) -> complex | np.ndarray:
     u_arr = np.asarray(u, dtype=float)
     vals = np.exp(1j * np.multiply.outer(u_arr, sample.observations)).mean(axis=-1)
     return complex(vals) if np.isscalar(u) or u_arr.ndim == 0 else vals
+
+
+def ecf_crossing(sample: GroupedSample, level: float, lo: float, hi: float) -> float:
+    """A u in [lo, hi] where |phi_hat(u)| falls to ``level``, to CROSSING_XTOL.
+
+    Needs |phi_hat(lo)| > level >= |phi_hat(hi)|.  With Y_c = Y - mean(Y)
+    and h = hi - lo, the centred factor near lo is the Taylor series
+
+        phi_c(lo + s*h) = sum_p (i*s)^p / p! * mean((h*Y_c)^p e^{i*lo*Y_c}),
+
+    s in [0, 1], whose terms past order P add up to at most
+    r^{P+1} / (P+1)! with r = h * max|Y_c| (the Taylor-series DFT of
+    Anderson & Dahleh 1996).  The bracket is first bisected with direct
+    ``ecf_at`` evaluations until r <= 1; one cos/sin pass and P real dot
+    products then give the series, and the rest of the bisection runs on
+    the polynomial alone.
+    """
+    lo, hi = float(lo), float(hi)
+    yc = sample.observations - sample.mean
+    spread = float(np.abs(yc).max())
+    while (hi - lo) * spread > 1.0:
+        mid = 0.5 * (lo + hi)
+        if abs(ecf_at(sample, mid)) > level:
+            lo = mid
+        else:
+            hi = mid
+    h = hi - lo
+    r = h * spread
+
+    theta = lo * yc
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta, out=theta)
+    yc *= h  # now h * Y_c, each |h * Y_c| <= r <= 1
+    power = np.ones_like(yc)
+    coefs = []  # coefs[p] multiplies s^p
+    scale = 1.0 / sample.n  # i^p / (p! n)
+    order, remainder = 0, r
+    while True:
+        coefs.append(scale * complex(power @ cos_t, power @ sin_t))
+        if not remainder >= SERIES_TOL:
+            break
+        order += 1
+        remainder *= r / (order + 1)
+        scale *= 1j / order
+        power *= yc
+    coefs.reverse()
+
+    a, b = lo, hi
+    while True:
+        mid = 0.5 * (a + b)
+        if b - a <= CROSSING_XTOL or not a < mid < b:
+            return mid
+        s = (mid - lo) / h
+        acc = 0j
+        for c in coefs:  # Horner
+            acc = acc * s + c
+        if abs(acc) > level:
+            a = mid
+        else:
+            b = mid
 
 
 def evaluate_grid(

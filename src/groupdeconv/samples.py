@@ -9,6 +9,7 @@ simulation study.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -333,31 +334,40 @@ def load_sample(path, group_size: float) -> GroupedSample:
     """
     if not (np.isfinite(group_size) and group_size >= 1):
         raise ParameterError(f"group size must be >= 1 (got {group_size})")
-    lines = Path(path).read_text().splitlines()
-    start = 0
-    if lines:
-        try:
-            float(lines[0])
-        except ValueError:
-            start = 1  # header line (or a blank one, skipped either way)
-    try:
-        # one conversion; numpy parses each str with Python's float
-        values = np.array(lines[start:], dtype=float)
-    except ValueError:
-        values = np.array(_parse_lines(lines), dtype=float)
-    else:
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            lineno = start + int(bad[0]) + 1
-            token = lines[lineno - 1].strip()
-            raise DataFormatError(
-                f"line {lineno}: non-finite observation '{token}'", line=lineno
-            )
+    values = _load_column(path) if Path(path).is_file() else None
+    if values is None:
+        # Python's float line by line: the exact value, message and line.
+        # A pipe comes here too, as it cannot be read twice
+        values = np.array(_parse_lines(Path(path).read_text().splitlines()), dtype=float)
     if values.size < 2:
         raise DataFormatError(
             f"fewer than 2 observations in {path} (got {values.size})"
         )
     return GroupedSample(values, float(group_size))
+
+
+def _load_column(path):
+    """A file of one finite number per line after an optional header, read
+    by the C parser; None when the file holds anything else."""
+    with open(path) as fh:
+        first = fh.readline().splitlines()[:1]
+    start = 0
+    if first:
+        try:
+            float(first[0])
+        except ValueError:
+            start = 1  # header line (or a blank one, skipped either way)
+    try:
+        # comments=None keeps '#' an error; ndmin=2 tells a one-line file
+        # holding a row of numbers from a column of them
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            values = np.loadtxt(path, comments=None, skiprows=start, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != 1 or not np.all(np.isfinite(values)):
+        return None
+    return values[:, 0]
 
 
 def _parse_lines(lines) -> list:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 
+from groupdeconv.charfn import ecf_at
 from groupdeconv.rootlog import RootEstimate
 
 
@@ -12,6 +13,19 @@ def ecf_derivative_at(sample, u):
     y = sample.observations
     vals = 1j * (y * np.exp(1j * np.multiply.outer(u_arr, y))).mean(axis=-1)
     return complex(vals) if np.isscalar(u) or u_arr.ndim == 0 else vals
+
+
+def bisect_crossing(sample, level, lo, hi, xtol=1e-13):
+    """A u in [lo, hi] where |phi_hat(u)| falls to ``level``: bisection on
+    abs(ecf_at(sample, u)) - level, every step a direct O(n) evaluation."""
+    lo, hi = float(lo), float(hi)
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if abs(ecf_at(sample, mid)) > level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def phi(ev):

@@ -129,6 +129,20 @@ def test_adaptive_cutoff_grows_with_n():
     assert med[10000] > med[1000]
 
 
+def test_adaptive_cutoff_refines_a_crossing_just_below_the_cap():
+    # rescale a sample so that |phi_hat| reaches t at cap - 5e-4: the scan
+    # point past the crossing then lies beyond the cap, the crossing does not
+    s = generate_grouped(Normal(), 1000, 5, seed=1)
+    cap = cutoff_cap(1000, 5.0)
+    m = adaptive_cutoff(s).value
+    wide = GroupedSample(s.observations * (m / (cap - 0.0005)), 5.0)
+    grid = scan_grid(wide)
+    assert grid.points[grid.index_of(cap - 0.0005) + 1] > cap
+    rec = adaptive_cutoff(wide)
+    assert rec.threshold_hit
+    assert rec.value == pytest.approx(cap - 0.0005, abs=1e-9)
+
+
 def test_adaptive_cutoff_leaves_no_cycle_holding_the_sample():
     # a simulation draws a fresh sample per replication; one kept alive by a
     # reference cycle would linger until the cyclic collector runs

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groupdeconv.charfn as charfn
 from groupdeconv._nufft import _MSP, uniform_cf_sums
-from groupdeconv.charfn import CfEvaluation, UGrid, ecf_at, evaluate_grid
+from groupdeconv.bandwidth import scan_grid, threshold_value
+from groupdeconv.charfn import CfEvaluation, UGrid, ecf_at, ecf_crossing, evaluate_grid
 from groupdeconv.errors import ParameterError
-from groupdeconv.samples import GroupedSample, Normal, generate_grouped, make_rng
-from reference import dphi, ecf_derivative_at, phi
+from groupdeconv.samples import GroupedSample, Gumbel, Normal, generate_grouped, make_rng
+from reference import bisect_crossing, dphi, ecf_derivative_at, phi
 
 
 def normal_sum_sample(n=2000, k=5, seed=11):
@@ -225,3 +227,52 @@ def test_nufft_memory_is_linear_in_points():
     finally:
         tracemalloc.stop()
     assert peak / n < 128
+
+
+# ---------------------------------------------------------------------------
+# threshold crossing
+# ---------------------------------------------------------------------------
+
+
+def scan_bracket(s, eta=1.1):
+    """(level, lo, hi): the scan grid points around the first |phi_hat| <= t."""
+    t = threshold_value(s.n, s.group_size, eta)
+    ev = evaluate_grid(s, scan_grid(s), with_derivative=False)
+    k = int(np.flatnonzero(ev.abs_phi <= t)[0])
+    return t, ev.grid.points[k - 1], ev.grid.points[k]
+
+
+def counting_ecf_at(monkeypatch):
+    calls = []
+
+    def counted(sample, u):
+        calls.append(u)
+        return ecf_at(sample, u)
+
+    monkeypatch.setattr(charfn, "ecf_at", counted)
+    return calls
+
+
+def test_crossing_matches_direct_bisection(monkeypatch):
+    # shaped like the estimate benchmark: Gumbel(3, 1) 5-fold sums
+    s = generate_grouped(Gumbel(3.0, 1.0), 10**4, 5, seed=41)
+    t, lo, hi = scan_bracket(s)
+    assert (hi - lo) * np.abs(s.observations - s.mean).max() <= 1.0
+    calls = counting_ecf_at(monkeypatch)
+    u = ecf_crossing(s, t, lo, hi)
+    assert calls == []  # the narrow bracket is left to the series alone
+    assert abs(u - bisect_crossing(s, t, lo, hi)) <= 1e-12
+    assert lo < u < hi
+
+
+def test_crossing_on_wide_sample_halves_first(monkeypatch):
+    # one far outlier makes (hi - lo) * max|Y_c| ~ 50: the bracket is halved
+    # with direct evaluations before the series takes over
+    y = generate_grouped(Normal(2.0, 1.0), 2000, 5, seed=42).observations
+    s = GroupedSample(np.append(y, 5000.0), 5.0)
+    t, lo, hi = scan_bracket(s)
+    assert (hi - lo) * np.abs(s.observations - s.mean).max() > 1.0
+    calls = counting_ecf_at(monkeypatch)
+    u = ecf_crossing(s, t, lo, hi)
+    assert len(calls) >= 5
+    assert abs(u - bisect_crossing(s, t, lo, hi)) <= 1e-12

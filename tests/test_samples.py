@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -270,6 +272,60 @@ def test_load_skips_blank_lines_and_crlf(tmp_path):
     p.write_bytes(b"y\r\n1.5\r\n\r\n  \r\n2.5\r\n-3\r\n")
     s = load_sample(p, 5.0)
     np.testing.assert_array_equal(s.observations, [1.5, 2.5, -3.0])
+
+
+def test_load_hash_line_is_an_error_not_a_comment(tmp_path):
+    p = tmp_path / "y.csv"
+    p.write_text("y\n1.0\n# a note\n2.0\n")
+    with pytest.raises(DataFormatError, match="line 3: could not parse '# a note'") as exc:
+        load_sample(p, 2.0)
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("text", ["1 2\n3 4\n5 6\n", "y\n1 2\n"], ids=["rows", "one-row"])
+def test_load_rejects_two_columns(tmp_path, text):
+    # the first line is a header (it is not one number); the next one fails
+    p = tmp_path / "y.csv"
+    p.write_text(text)
+    bad = text.splitlines()[1]
+    with pytest.raises(DataFormatError, match=f"line 2: could not parse '{bad}'") as exc:
+        load_sample(p, 2.0)
+    assert exc.value.line == 2
+
+
+def test_load_reads_python_float_syntax(tmp_path):
+    # tokens Python's float accepts and the C parser does not still load
+    p = tmp_path / "y.csv"
+    p.write_text("1_000\n2.5\n")
+    np.testing.assert_array_equal(load_sample(p, 2.0).observations, [1000.0, 2.5])
+
+
+def test_load_large_file_matches_python_float(tmp_path):
+    y = generate_grouped(Gumbel(3.0, 1.0), 10**4, 5, seed=3).observations
+    p = tmp_path / "y.csv"
+    p.write_text("y\n" + "\n".join(map(repr, y.tolist())) + "\n")
+    expected = [float(line) for line in p.read_text().splitlines()[1:]]
+    got = load_sample(p, 5.0).observations
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(got, y)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_reads_a_pipe_once(tmp_path):
+    # a pipe (--input <(zcat y.gz), say) gives its data to one reader only
+    fifo = tmp_path / "y.fifo"
+    os.mkfifo(fifo)
+    text = "y\n" + "\n".join(map(str, range(5000))) + "\n"
+
+    def write():
+        with open(fifo, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    s = load_sample(fifo, 2.0)
+    writer.join(timeout=10)
+    np.testing.assert_array_equal(s.observations, np.arange(5000.0))
 
 
 def test_load_rejects_group_size(tmp_path):
