@@ -121,15 +121,18 @@ def ecf_crossing(sample: GroupedSample, level: float, lo: float, hi: float) -> f
     s in [0, 1], whose terms past order P add up to at most
     r^{P+1} / (P+1)! with r = h * max|Y_c| (the Taylor-series DFT of
     Anderson & Dahleh 1996).  The bracket is first bisected with direct
-    ``ecf_at`` evaluations until r <= 1; one cos/sin pass and P real dot
-    products then give the series, and the rest of the bisection runs on
-    the polynomial alone.
+    ``ecf_at`` evaluations until r <= 1, or to CROSSING_XTOL if no float
+    bracket is that narrow; one cos/sin pass and P real dot products then
+    give the series, and the rest of the bisection runs on the polynomial
+    alone.
     """
     lo, hi = float(lo), float(hi)
     yc = sample.observations - sample.mean
     spread = float(np.abs(yc).max())
     while (hi - lo) * spread > 1.0:
         mid = 0.5 * (lo + hi)
+        if hi - lo <= CROSSING_XTOL or not lo < mid < hi:
+            return mid  # so wide a sample is bisected on ecf_at alone
         if abs(ecf_at(sample, mid)) > level:
             lo = mid
         else:

@@ -334,10 +334,9 @@ def load_sample(path, group_size: float) -> GroupedSample:
     """
     if not (np.isfinite(group_size) and group_size >= 1):
         raise ParameterError(f"group size must be >= 1 (got {group_size})")
-    values = _load_column(path) if Path(path).is_file() else None
+    values = _load_column(path)
     if values is None:
-        # Python's float line by line: the exact value, message and line.
-        # A pipe comes here too, as it cannot be read twice
+        # Python's float line by line: the exact value, message and line
         values = np.array(_parse_lines(Path(path).read_text().splitlines()), dtype=float)
     if values.size < 2:
         raise DataFormatError(
@@ -347,10 +346,19 @@ def load_sample(path, group_size: float) -> GroupedSample:
 
 
 def _load_column(path):
-    """A file of one finite number per line after an optional header, read
-    by the C parser; None when the file holds anything else."""
+    """A regular file of one finite number per line after an optional
+    header, read by the C parser; None for anything else.
+
+    The path is opened twice (first line, then ``np.loadtxt``), which a
+    pipe does not allow.  A path, not an open file or a list of lines, is
+    what keeps ``np.loadtxt`` on its chunked C reader.
+    """
+    if not Path(path).is_file():
+        return None
     with open(path) as fh:
-        first = fh.readline().splitlines()[:1]
+        first = fh.readline().splitlines()
+    if len(first) > 1:
+        return None  # a line break str.splitlines sees and loadtxt does not
     start = 0
     if first:
         try:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import groupdeconv.charfn as charfn
 from groupdeconv._nufft import _MSP, uniform_cf_sums
-from groupdeconv.bandwidth import scan_grid, threshold_value
+from groupdeconv.bandwidth import adaptive_cutoff, scan_grid, threshold_value
 from groupdeconv.charfn import CfEvaluation, UGrid, ecf_at, ecf_crossing, evaluate_grid
 from groupdeconv.errors import ParameterError
 from groupdeconv.samples import GroupedSample, Gumbel, Normal, generate_grouped, make_rng
@@ -247,6 +247,8 @@ def counting_ecf_at(monkeypatch):
 
     def counted(sample, u):
         calls.append(u)
+        # a bisection to 1e-13 from a scan step of 2.5e-3 needs ~35 calls
+        assert len(calls) <= 100, "ecf_crossing does not converge"
         return ecf_at(sample, u)
 
     monkeypatch.setattr(charfn, "ecf_at", counted)
@@ -276,3 +278,18 @@ def test_crossing_on_wide_sample_halves_first(monkeypatch):
     u = ecf_crossing(s, t, lo, hi)
     assert len(calls) >= 5
     assert abs(u - bisect_crossing(s, t, lo, hi)) <= 1e-12
+
+
+def test_crossing_ends_when_no_bracket_is_narrow_enough(monkeypatch):
+    # with max|Y_c| ~ 1e17 (a sentinel value in a data file, say) no float
+    # bracket near u ~ 1 has (hi - lo) * max|Y_c| <= 1: the direct bisection
+    # stops at the tolerance instead of halving one ulp forever
+    y = generate_grouped(Normal(), 1000, 5, seed=1).observations
+    s = GroupedSample(np.append(y, 1e17), 5.0)
+    t, lo, hi = scan_bracket(s)
+    calls = counting_ecf_at(monkeypatch)
+    rec = adaptive_cutoff(s)
+    assert rec.threshold_hit
+    assert rec.value == bisect_crossing(s, t, lo, hi)
+    assert len(calls) < 50
+

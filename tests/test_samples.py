@@ -293,6 +293,15 @@ def test_load_rejects_two_columns(tmp_path, text):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_load_splits_lines_as_str_splitlines(tmp_path, sep):
+    # 'y<sep>1.0' is two lines, a header and a value, as str.splitlines has it
+    p = tmp_path / "y.csv"
+    p.write_text(f"y{sep}1.0\n2.0\n3.0\n")
+    s = load_sample(p, 2.0)
+    np.testing.assert_array_equal(s.observations, [1.0, 2.0, 3.0])
+
+
 def test_load_reads_python_float_syntax(tmp_path):
     # tokens Python's float accepts and the C parser does not still load
     p = tmp_path / "y.csv"
