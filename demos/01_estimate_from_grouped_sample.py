@@ -11,18 +11,7 @@ complex and naive root-taking would pick wrong branches).  The pipeline:
 
 Writes ``gumbel_estimate.csv`` (plot-ready: x, fhat, true density).
 """
-from groupdeconv import (
-    Gumbel,
-    UGrid,
-    adaptive_cutoff,
-    default_step,
-    default_xgrid,
-    distinguished_root,
-    evaluate_grid,
-    generate_grouped,
-    invert,
-    l2_distance,
-)
+from groupdeconv import Gumbel, default_xgrid, estimate, generate_grouped, l2_distance
 
 law = Gumbel(mean=3.0, scale=1.0)
 n, K = 5000, 10
@@ -31,25 +20,20 @@ sample = generate_grouped(law, n, K, seed=42)
 print(f"observed {n} sums of {K} draws; mean(Y) = {sample.mean:.3f} "
       f"(so mean(X) is about {sample.mean / K:.3f})")
 
-cutoff = adaptive_cutoff(sample, eta=1.1)
-print(f"adaptive cutoff: m = {cutoff.value:.4f} "
-      f"(threshold {cutoff.params['threshold']:.4f}, "
-      f"cap {cutoff.params['cap']:.4f}, hit: {cutoff.threshold_hit})")
-
-# the frequency step `groupdeconv estimate` uses for this cutoff
-step = default_step(cutoff.value)
-cf = evaluate_grid(sample, UGrid(u_max=cutoff.value + step, step=step))
-root = distinguished_root(cf, cutoff.value)
-
+# the same call `groupdeconv estimate` makes: steps 1-4 with the adaptive cutoff
 xgrid = default_xgrid(sample)
-estimate = invert(root, cutoff.value, xgrid)
+est = estimate(sample, xgrid, "adaptive", eta=1.1)
+cutoff = est.cutoff_rule
+print(f"adaptive cutoff: m = {est.cutoff_m:.4f} "
+      f"(threshold {cutoff['threshold']:.4f}, "
+      f"cap {cutoff['cap']:.4f}, hit: {cutoff['threshold_hit']})")
 
-risk = l2_distance(estimate.values, law.pdf, xgrid)
+risk = l2_distance(est.values, law.pdf, xgrid)
 print(f"squared L2 distance to the true density: {risk:.5f}")
 
 truth = law.pdf(xgrid.points)
 with open("gumbel_estimate.csv", "w") as fh:
     fh.write("x,fhat,true\n")
-    for x, fh_v, tr in zip(xgrid.points, estimate.values, truth):
+    for x, fh_v, tr in zip(xgrid.points, est.values, truth):
         fh.write(f"{x:.6g},{fh_v:.6g},{tr:.6g}\n")
 print("wrote gumbel_estimate.csv (x, fhat, true)")

@@ -12,7 +12,7 @@ from .bandwidth import (
     cutoff_cap,
     default_oracle_grid,
     diagnostic_threshold_u,
-    oracle_cutoff,
+    estimate,
     oracle_risks,
     threshold_value,
 )

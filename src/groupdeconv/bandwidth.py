@@ -1,4 +1,5 @@
-"""Spectral-cutoff selection: adaptive threshold rule, oracle, diagnostics.
+"""Spectral-cutoff selection (adaptive threshold rule, oracle, diagnostics)
+and ``estimate``, the one entry point from a sample to a density estimate.
 
 The adaptive cutoff is the first frequency at which |phi_hat| drops to
 
@@ -15,15 +16,15 @@ what the risk analysis predicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .charfn import CfEvaluation, UGrid, ecf_crossing, evaluate_grid
 from .errors import LevelNotReached, ParameterError
-from .inversion import XGrid, invert_prefixes, l2_distance
-from .rootlog import MAX_STEP, RootEstimate, default_step, feasible_root
+from .inversion import DensityEstimate, XGrid, invert, invert_prefixes, l2_distance
+from .rootlog import MAX_STEP, RootEstimate, default_step, distinguished_root, feasible_root
 from .samples import GroupedSample, TestLaw
 
 __all__ = [
@@ -35,7 +36,7 @@ __all__ = [
     "scan_grid",
     "adaptive_cutoff",
     "oracle_risks",
-    "oracle_cutoff",
+    "estimate",
     "default_oracle_grid",
     "diagnostic_level",
     "diagnostic_threshold_u",
@@ -112,6 +113,7 @@ def adaptive_cutoff(
 
     ``ev`` is an evaluation of the sample on ``scan_grid(sample)`` to reuse,
     with or without the derivative; without it |phi_hat| alone is evaluated.
+    A threshold >= |phi_hat(0)| = 1 leaves no cutoff > 0: ParameterError.
     """
     t = threshold_value(sample.n, sample.group_size, eta)
     cap = cutoff_cap(sample.n, sample.group_size)
@@ -122,8 +124,9 @@ def adaptive_cutoff(
     below = np.flatnonzero(ev.abs_phi <= t)
     k = int(below[0]) if below.size else u.size
     if k == 0:
-        # |phi_hat(0)| = 1 <= t only for degenerate thresholds (t >= 1)
-        return CutoffRecord(0.0, "adaptive", True, MAX_STEP, params)
+        raise ParameterError(
+            f"the adaptive threshold {t:.4g} exceeds 1 at n={sample.n}; no cutoff is > 0"
+        )
     # the scan point past the crossing may lie beyond the cap when the
     # crossing itself does not, so refine whenever the bracket starts below it
     value = cap
@@ -159,25 +162,44 @@ def oracle_risks(
     return snapped, l2_distance(invert_prefixes(root, snapped, xgrid), density, xgrid)
 
 
-def oracle_cutoff(law: TestLaw, sample: GroupedSample, xgrid: XGrid) -> CutoffRecord:
-    """argmin_m ||f - f_m||^2 over ``default_oracle_grid`` up to the cap
-    n^{1/K}, ties toward smaller m.
+def estimate(
+    sample: GroupedSample, xgrid: XGrid, cutoff="adaptive", eta=DEFAULT_ETA, law=None
+) -> DensityEstimate:
+    """The summand's density on ``xgrid`` from one ECF evaluation: the
+    distinguished-log K-th root on [0, m], inverted at the cutoff m.
 
-    When |phi_hat| hits the integration floor before the cap, the candidates
-    stop at the last feasible cutoff and the truncation point is recorded in
-    the result's params.
+    ``cutoff`` is "adaptive" (the threshold rule at ``eta``), a fixed m > 0,
+    or "oracle": the argmin of the ``oracle_risks`` against ``law``'s density
+    over ``default_oracle_grid`` up to the cap n^{1/K} (the first minimum).
+    The oracle scores and inverts one feasible root at ``default_step(cap)``,
+    and records where |phi_hat| hit the integration floor (``truncated_at``);
+    the other rules invert a root at ``default_step(m)``.
     """
-    cap = cutoff_cap(sample.n, sample.group_size)
-    step = default_step(cap)
-    ev = evaluate_grid(sample, UGrid(u_max=cap + step, step=step))
-    root, violation = feasible_root(ev)
-    candidates = default_oracle_grid(min(cap, root.u_limit))
-    snapped, risks = oracle_risks(root, law.pdf, candidates, xgrid)
-    best = int(np.argmin(risks))  # first minimum = smallest m on ties
-    params = {"risk": float(risks[best]), "candidates": int(snapped.size)}
-    if violation is not None:
-        params["truncated_at"] = violation
-    return CutoffRecord(float(snapped[best]), "oracle", True, step, params)
+    check_eta(eta)
+    if cutoff == "oracle":
+        cap = cutoff_cap(sample.n, sample.group_size)
+        step = default_step(cap)
+        root, violation = feasible_root(evaluate_grid(sample, UGrid(cap + step, step)))
+        candidates = default_oracle_grid(min(cap, root.u_limit))
+        snapped, risks = oracle_risks(root, law.pdf, candidates, xgrid)
+        best = int(np.argmin(risks))  # first minimum = smallest m on ties
+        params = {"risk": float(risks[best]), "candidates": int(snapped.size)}
+        if violation is not None:
+            params["truncated_at"] = violation
+        record = CutoffRecord(float(snapped[best]), "oracle", True, step, params)
+        m = record.value
+    else:
+        if cutoff == "adaptive":
+            record = adaptive_cutoff(sample, eta)
+            m = record.value
+        else:
+            record, m = None, float(cutoff)
+            if not (math.isfinite(m) and m > 0):
+                raise ParameterError(f"fixed cutoff must be > 0 (got {m})")
+        step = default_step(m)
+        root = distinguished_root(evaluate_grid(sample, UGrid(m + step, step)), m)
+    rule = record.as_dict() if record is not None else {"rule": "fixed"}
+    return replace(invert(root, m, xgrid), cutoff_rule=rule, provenance={"n": sample.n})
 
 
 def diagnostic_level(

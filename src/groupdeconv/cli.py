@@ -22,15 +22,12 @@ import numpy as np
 
 from .bandwidth import (
     DEFAULT_ETA,
-    adaptive_cutoff,
-    check_eta,
     cutoff_cap,
     diagnostic_level,
     diagnostic_threshold_u,
-    oracle_cutoff,
+    estimate,
     threshold_value,
 )
-from .charfn import UGrid, evaluate_grid
 from .errors import (
     DataFormatError,
     DenominatorTooSmall,
@@ -39,8 +36,8 @@ from .errors import (
     ParameterError,
 )
 from .experiments import ScenarioGrid, run_grid
-from .inversion import X_COUNT, XGrid, default_xgrid, invert
-from .rootlog import MAX_STEP, default_step, distinguished_root
+from .inversion import X_COUNT, XGrid, default_xgrid
+from .rootlog import MAX_STEP
 from .samples import law_from_name, load_sample
 
 
@@ -62,30 +59,30 @@ def _finite_float(text: str) -> float:
 
 
 def _parse_cutoff_flag(text: str):
+    """--cutoff as ``estimate``'s cutoff: a rule name or the fixed m."""
     if text == "adaptive" or text == "oracle":
-        return text, None
+        return text
     if text.startswith("fixed:"):
         try:
-            m = _finite_float(text.split(":", 1)[1])
+            return _finite_float(text.split(":", 1)[1])
         except argparse.ArgumentTypeError:
             raise ParameterError(
                 f"--cutoff: fixed cutoff must be a finite number (got '{text}')"
             ) from None
-        if m <= 0:
-            raise ParameterError(f"fixed cutoff must be > 0 (got {m})")
-        return "fixed", m
     raise ParameterError(
         f"cutoff must be adaptive, oracle, or fixed:<m> (got '{text}')"
     )
 
 
 def cmd_estimate(args) -> int:
-    check_eta(args.eta)
+    cutoff = _parse_cutoff_flag(args.cutoff)
+    if cutoff == "oracle" and args.law is None:
+        raise ParameterError("--cutoff oracle requires --law")
+    law = law_from_name(args.law) if args.law is not None else None
     sample = load_sample(args.input, args.group_size)
-    rule, fixed_m = _parse_cutoff_flag(args.cutoff)
 
     # every tunable that shaped the estimate, and only those, goes into its JSON
-    defaults = {"eta": args.eta, "scan_resolution": MAX_STEP} if rule == "adaptive" else {}
+    defaults = {"eta": args.eta, "scan_resolution": MAX_STEP} if cutoff == "adaptive" else {}
     if args.x_min is not None or args.x_max is not None:
         if args.x_min is None or args.x_max is None:
             raise ParameterError("--x-min and --x-max must be given together")
@@ -96,39 +93,18 @@ def cmd_estimate(args) -> int:
             f"center mean(Y)/K, half-width 8*sd(X), {args.x_count} points"
         )
 
-    if rule == "adaptive":
-        record = adaptive_cutoff(sample, args.eta)
-        m = record.value
-        if m <= 0:
-            raise ParameterError(
-                f"adaptive cutoff degenerated to {m:g}; "
-                f"the threshold exceeds 1 at n={sample.n}"
-            )
-    elif rule == "oracle":
-        if args.law is None:
-            raise ParameterError("--cutoff oracle requires --law")
-        record = oracle_cutoff(law_from_name(args.law), sample, xgrid)
-        m = record.value
-    else:
-        record = None
-        m = fixed_m
-
-    step = default_step(m)
-    grid = UGrid(u_max=m + step, step=step)
-    ev = evaluate_grid(sample, grid)
-    root = distinguished_root(ev, m)
-    cutoff_rule = record.as_dict() if record is not None else {"rule": "fixed"}
+    est = estimate(sample, xgrid, cutoff, args.eta, law)
     est = replace(
-        invert(root, m, xgrid),
-        cutoff_rule=cutoff_rule | {"defaults": defaults},
-        provenance={"n": sample.n, "source": str(args.input)},
+        est,
+        cutoff_rule=est.cutoff_rule | {"defaults": defaults},
+        provenance=est.provenance | {"source": str(args.input)},
     )
     out = Path(args.out)
     est.to_csv(out.with_suffix(".csv"))
     est.to_json(out.with_suffix(".json"))
     print(
-        f"estimate: n={sample.n} K={sample.group_size:g} cutoff={m:.6g} ({rule}) "
-        f"-> {out.with_suffix('.csv')}, {out.with_suffix('.json')}"
+        f"estimate: n={sample.n} K={sample.group_size:g} cutoff={est.cutoff_m:.6g} "
+        f"({est.cutoff_rule['rule']}) -> {out.with_suffix('.csv')}, {out.with_suffix('.json')}"
     )
     return 0
 

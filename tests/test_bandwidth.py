@@ -75,6 +75,12 @@ def test_degenerate_sample_returns_cap():
     assert rec.threshold_hit is False
 
 
+def test_threshold_above_one_leaves_no_cutoff():
+    s = GroupedSample(np.array([0.3, 1.9]), 1.0)  # n=2, K=1: t > 1 = |phi_hat(0)|
+    with pytest.raises(ParameterError, match="exceeds 1 at n=2"):
+        adaptive_cutoff(s, eta=1.1)
+
+
 def test_adaptive_crossing_matches_brute_force_scan():
     # oracle: exhaustive scan at resolution 1e-4 for the first |phi_hat| <= t
     from groupdeconv.charfn import evaluate_grid

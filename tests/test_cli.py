@@ -7,16 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from groupdeconv import (
-    UGrid,
-    adaptive_cutoff,
-    cli,
-    default_step,
-    default_xgrid,
-    distinguished_root,
-    evaluate_grid,
-    invert,
-)
+from groupdeconv import bandwidth, cli, default_xgrid, estimate
 from groupdeconv.cli import main
 from groupdeconv.experiments import RiskReport, ScenarioGrid
 from groupdeconv.inversion import XGrid, l2_distance
@@ -77,19 +68,23 @@ def test_estimate_recovers_summand_density(tmp_path, normal_sum_file):
     assert l2_distance(fhat, law.pdf, xg) < 0.05
 
 
-def test_library_route_reproduces_estimate(tmp_path, normal_sum_file):
-    # the composition the README tour and demo 01 document
-    assert run_cli(
-        ["estimate", "--input", normal_sum_file, "--group-size", 5, "--out", tmp_path / "e"]
-    ) == 0
+@pytest.mark.parametrize(
+    "flags, cutoff, law",
+    [
+        ([], "adaptive", None),
+        (["--cutoff", "fixed:1.5"], 1.5, None),
+        (["--cutoff", "oracle", "--law", "normal"], "oracle", Normal(2.0, 1.0)),
+    ],
+    ids=["adaptive", "fixed", "oracle"],
+)
+def test_library_route_reproduces_estimate(tmp_path, normal_sum_file, flags, cutoff, law):
+    # the one call the README tour and demo 01 document
+    argv = ["estimate", "--input", normal_sum_file, "--group-size", 5, *flags]
+    assert run_cli([*argv, "--out", tmp_path / "e"]) == 0
     sample = load_sample(normal_sum_file, 5)
-    cutoff = adaptive_cutoff(sample, eta=1.1)
-    step = default_step(cutoff.value)
-    cf = evaluate_grid(sample, UGrid(u_max=cutoff.value + step, step=step))
-    root = distinguished_root(cf, cutoff.value)
-    estimate = invert(root, cutoff.value, default_xgrid(sample))
+    est = estimate(sample, default_xgrid(sample), cutoff, law=law)
     payload = json.loads((tmp_path / "e.json").read_text())
-    assert payload["values"] == estimate.values.tolist()
+    assert payload["values"] == est.values.tolist()
 
 
 @pytest.mark.parametrize(
@@ -190,6 +185,41 @@ def test_estimate_oracle_cutoff(tmp_path, normal_sum_file):
     assert math.isfinite(cutoff["risk"])
     assert cutoff["candidates"] >= 1
     assert 0 < cutoff["value"] <= (10**4) ** (1 / 5)
+
+
+def test_estimate_oracle_record_describes_the_values_written(
+    tmp_path, normal_sum_file, monkeypatch
+):
+    calls = []
+    evaluate_grid = bandwidth.evaluate_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate_grid(*args, **kwargs)
+
+    monkeypatch.setattr(bandwidth, "evaluate_grid", counted)
+    code = run_cli(
+        ["estimate", "--input", normal_sum_file, "--group-size", 5,
+         "--cutoff", "oracle", "--law", "normal", "--out", tmp_path / "e"]
+    )
+    assert code == 0
+    assert len(calls) == 1
+    payload = json.loads((tmp_path / "e.json").read_text())
+    xgrid = XGrid(**payload["xgrid"])
+    risk = l2_distance(np.array(payload["values"]), Normal(2.0, 1.0).pdf, xgrid)
+    assert payload["cutoff"]["risk"] == pytest.approx(risk, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("cutoff", ["adaptive", "fixed:1.5"])
+def test_estimate_rejects_unknown_law_with_any_cutoff(tmp_path, normal_sum_file, capsys, cutoff):
+    code = run_cli(
+        ["estimate", "--input", normal_sum_file, "--group-size", 5,
+         "--cutoff", cutoff, "--law", "cauchy", "--out", tmp_path / "e"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cauchy" in err
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_estimate_csv_round_trips_through_loader(tmp_path, normal_sum_file):
