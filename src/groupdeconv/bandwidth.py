@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .charfn import CfEvaluation, UGrid, ecf_crossing, evaluate_grid
 from .errors import LevelNotReached, ParameterError
@@ -257,4 +256,6 @@ def diagnostic_threshold_u(
                 f"|phi(u)|^{group_size:g} stays above {level:.3e} "
                 f"up to u = {DIAGNOSTIC_U_MAX:g}"
             )
+    from scipy.optimize import brentq  # only diagnose needs scipy's root finder
+
     return brentq(lambda u: modulus_pow_k(u) - level, lo, hi, xtol=1e-12)

@@ -184,7 +184,7 @@ def evaluate_grid(
     """
     y = sample.observations
     n = sample.n
-    c = float(y.mean())
+    c = sample.mean
     yc = y - c
     ones = np.ones(n)
     if with_derivative:

@@ -50,6 +50,12 @@ class XGrid:
     count: int = X_COUNT
 
     def __post_init__(self):
+        # finite exactly when both ends and the spacing are
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ParameterError(
+                "x-grid ends and their distance must be finite "
+                f"(got {self.x_min}, {self.x_max})"
+            )
         if not (self.x_min < self.x_max):
             raise ParameterError(
                 f"x_min must be < x_max (got {self.x_min}, {self.x_max})"
@@ -77,7 +83,12 @@ def centred_xgrid(center: float, sigma: float, count: int = X_COUNT) -> XGrid:
 
 def default_xgrid(sample: GroupedSample, count: int = X_COUNT) -> XGrid:
     """Data-driven grid: E[X] = E[Y]/K and Var(X) = Var(Y)/K from the sample."""
-    sigma = math.sqrt(max(sample.variance, 1e-300) / sample.group_size)
+    if sample.variance == 0:
+        raise ParameterError(
+            f"sd(Y) is 0 (all {sample.n} observations equal {sample.mean:g}), so the "
+            "default x-grid has no width; give the x-grid (estimate --x-min, --x-max)"
+        )
+    sigma = math.sqrt(sample.variance / sample.group_size)
     return centred_xgrid(sample.mean / sample.group_size, sigma, count)
 
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .charfn import CfEvaluation, UGrid
 from .errors import DenominatorTooSmall, ParameterError
@@ -110,7 +109,9 @@ def _first_floor_violation(cf: CfEvaluation, k_limit: int):
 def _centered_psi(cf: CfEvaluation, k_limit: int) -> np.ndarray:
     """Cumulative trapezoid of the centred log-derivative on [0, u_k]."""
     g = cf.dphi_centered[: k_limit + 1] / cf.phi_centered[: k_limit + 1]
-    return cumulative_trapezoid(g, dx=cf.grid.step, initial=0.0)
+    # scipy.integrate.cumulative_trapezoid(g, dx=step, initial=0.0), the same
+    # expression without importing scipy
+    return np.concatenate(([0.0], np.cumsum(cf.grid.step * (g[1:] + g[:-1]) / 2.0)))
 
 
 def _assemble_root(cf: CfEvaluation, k_limit: int) -> RootEstimate:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .errors import DataFormatError, ParameterError
 
@@ -72,16 +72,24 @@ class GroupedSample:
             raise ParameterError(f"observation {bad} is not finite")
         if not (np.isfinite(self.group_size) and self.group_size >= 1):
             raise ParameterError(f"group size must be >= 1 (got {self.group_size})")
+        # finite observations can still overflow the moments every estimate uses
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, sd = self.mean, math.sqrt(self.variance)
+        if not (math.isfinite(mean) and math.isfinite(sd)):
+            raise ParameterError(
+                f"the moments of the {obs.size} observations overflow a float "
+                f"(mean {mean:g}, sd(Y) {sd:g})"
+            )
 
     @property
     def n(self) -> int:
         return self.observations.size
 
-    @property
+    @cached_property
     def mean(self) -> float:
         return float(self.observations.mean())
 
-    @property
+    @cached_property
     def variance(self) -> float:
         return float(self.observations.var(ddof=1))
 
@@ -181,10 +189,14 @@ class Gumbel(TestLaw):
 
     def cf(self, u):
         # E[e^{iuX}] = e^{iu*loc} * Gamma(1 - iu*scale)
+        from scipy import special  # complex gamma; only the exact cf needs scipy
+
         u = np.asarray(u, dtype=float)
         return np.exp(1j * self.location * u) * special.gamma(1.0 - 1j * self.scale * u)
 
     def cf_prime(self, u):
+        from scipy import special
+
         u = np.asarray(u, dtype=float)
         z = 1.0 - 1j * self.scale * u
         return self.cf(u) * 1j * (self.location - self.scale * special.digamma(z))
@@ -228,7 +240,7 @@ class Gamma(TestLaw):
             self.shape * math.log(self.rate)
             + (self.shape - 1) * np.log(xp)
             - self.rate * xp
-            - special.gammaln(self.shape)
+            - math.lgamma(self.shape)
         )
         out[pos] = np.exp(log_pdf)
         return out

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +236,51 @@ def test_estimate_csv_round_trips_through_loader(tmp_path, normal_sum_file):
     np.testing.assert_allclose(again.observations, rows[:, 0], atol=1e-9)
 
 
+def _bad_sample(kind):
+    sums = generate_grouped(Normal(2.0, 1.0), 1000, 5, seed=707).observations
+    return {
+        "one-1.7e308": np.append(sums, 1.7e308),
+        "two-1e308": np.append(sums, [1e308, 1e308]),
+        "constant": np.full(500, 2.0),
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, grid, named",
+    [
+        ("one-1.7e308", "default", "overflow a float (mean 1.6983e+305, sd(Y) inf)"),
+        ("one-1.7e308", "explicit", "overflow a float (mean 1.6983e+305, sd(Y) inf)"),
+        ("two-1e308", "default", "overflow a float (mean inf, sd(Y) inf)"),
+        ("two-1e308", "explicit", "overflow a float (mean inf, sd(Y) inf)"),
+        ("constant", "default", "sd(Y) is 0 (all 500 observations equal 2)"),
+        ("constant", "explicit", None),
+    ],
+    ids=[
+        "one-1.7e308-default",
+        "one-1.7e308-explicit",
+        "two-1e308-default",
+        "two-1e308-explicit",
+        "constant-default",
+        "constant-explicit",
+    ],
+)
+def test_estimate_names_overflowing_or_spreadless_sample(tmp_path, capsys, kind, grid, named):
+    path = tmp_path / "y.txt"
+    path.write_text("".join(f"{v!r}\n" for v in _bad_sample(kind).tolist()))
+    flags = ["--x-min", -5, "--x-max", 5] if grid == "explicit" else []
+    out = tmp_path / "est"
+    code = exit_code(["estimate", "--input", path, "--group-size", 5, "--out", out] + flags)
+    err = capsys.readouterr().err
+    if named is None:  # a constant sample on a given grid is still an estimate
+        assert code == 0
+        assert np.all(np.isfinite(json.loads((tmp_path / "est.json").read_text())["values"]))
+        return
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "est.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -461,6 +508,46 @@ def test_bad_float_flag_exits_2_naming_it(tmp_path, normal_sum_file, capsys, arg
     assert "Traceback" not in err
     for text in named:
         assert text in err
+
+
+# ---------------------------------------------------------------------------
+# imports: estimate and simulate run on numpy alone
+# ---------------------------------------------------------------------------
+
+_NO_SCIPY_SCRIPT = """
+import sys
+from groupdeconv.cli import main
+from groupdeconv.samples import Normal, generate_grouped
+
+sums = generate_grouped(Normal(2.0, 1.0), 400, 5, seed=1).observations
+with open("y.txt", "w") as fh:
+    fh.write("".join(f"{v!r}\\n" for v in sums.tolist()))
+codes = [
+    main(["estimate", "--input", "y.txt", "--group-size", "5", "--out", "est"]),
+    main(["simulate", "--law", "normal", "--law", "gumbel", "--law", "gamma",
+          "--law", "laplace", "--n", "300", "--group-size", "3", "--reps", "2",
+          "--seed", "3", "--out", "risks"]),
+]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(codes, loaded)
+"""
+
+
+def test_estimate_and_simulate_load_no_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "GROUPDECONV_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    # the exact Gumbel cf, which diagnose needs, still loads scipy on demand
+    assert run_cli(
+        ["diagnose", "--law", "gumbel", "--n", 1000, "--group-size", 5,
+         "--out", tmp_path / "diag"]
+    ) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -223,3 +223,31 @@ def test_no_private_cross_module_imports():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def _runs_on_import(node):
+    """Every statement below ``node`` except those inside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _runs_on_import(child)
+
+
+def test_no_module_level_scipy_import():
+    # estimate and simulate import numpy only; scipy (≈0.5 s to import) is
+    # loaded inside the few functions that need it
+    offenders = []
+    for path in sorted(Path(groupdeconv.__file__).parent.glob("*.py")):
+        for node in _runs_on_import(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name == "scipy" or name.startswith("scipy.")
+            ]
+    assert offenders == []

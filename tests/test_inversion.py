@@ -34,6 +34,12 @@ def test_xgrid_validation():
         XGrid(1.0, 1.0, 100)
     with pytest.raises(ParameterError):
         XGrid(0.0, 1.0, 8)
+    with pytest.raises(ParameterError, match="must be finite"):
+        XGrid(-math.inf, 1.0, 64)
+    with pytest.raises(ParameterError, match="must be finite"):
+        XGrid(0.0, math.nan, 64)
+    with pytest.raises(ParameterError, match="must be finite"):
+        XGrid(-1.7e308, 1.7e308, 64)
 
 
 def test_default_xgrid_covers_summand():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from groupdeconv.charfn import CfEvaluation, UGrid, evaluate_grid
 from groupdeconv.errors import DenominatorTooSmall, ParameterError
 from groupdeconv.rootlog import (
+    _centered_psi,
     default_step,
     denominator_floor,
     distinguished_root,
@@ -192,3 +194,16 @@ def test_phase_increment_warning():
 def test_default_step():
     assert default_step(100.0) == 0.01
     assert default_step(4.096) == pytest.approx(0.001)
+
+
+@pytest.mark.parametrize("size", [2, 3, 5000])
+def test_centered_psi_is_scipys_cumulative_trapezoid(size):
+    # the numpy expression that replaced scipy's, pinned bit for bit
+    rng = np.random.default_rng(size)
+    re, im = rng.normal(size=(2, 2, size))
+    phi_c, dphi_c = re + 1j * im
+    ev = CfEvaluation(UGrid((size - 1) * 0.01, 0.01), 0.0, phi_c, dphi_c, None, 1.0)
+    got = _centered_psi(ev, size - 1)
+    want = cumulative_trapezoid(dphi_c / phi_c, dx=0.01, initial=0.0)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
