@@ -9,6 +9,7 @@ Fourier inversion, with a fully data-driven choice of the cutoff.
 from .bandwidth import (
     CutoffRecord,
     adaptive_cutoff,
+    cap_spread,
     cutoff_cap,
     default_oracle_grid,
     diagnostic_threshold_u,
@@ -16,7 +17,7 @@ from .bandwidth import (
     oracle_risks,
     threshold_value,
 )
-from .charfn import CfEvaluation, UGrid, ecf_at, evaluate_grid
+from .charfn import CfEvaluation, SpreadEcf, UGrid
 from .errors import (
     CutoffExceedsRange,
     DataFormatError,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .charfn import CfEvaluation, UGrid, ecf_crossing, evaluate_grid
+from .charfn import SpreadEcf, UGrid
 from .errors import LevelNotReached, ParameterError
 from .inversion import DensityEstimate, XGrid, invert, invert_prefixes, l2_distance
 from .rootlog import MAX_STEP, RootEstimate, default_step, distinguished_root, feasible_root
@@ -33,6 +33,7 @@ __all__ = [
     "check_eta",
     "threshold_value",
     "scan_grid",
+    "cap_spread",
     "adaptive_cutoff",
     "oracle_risks",
     "estimate",
@@ -98,39 +99,41 @@ def cutoff_cap(n: int, group_size: float) -> float:
     return float(n) ** (1.0 / group_size)
 
 
-def scan_grid(sample: GroupedSample) -> UGrid:
+def scan_grid(sample: GroupedSample | SpreadEcf) -> UGrid:
     """The adaptive rule's scan grid: step MAX_STEP, one step past the cap."""
     cap = cutoff_cap(sample.n, sample.group_size)
     return UGrid(u_max=cap + MAX_STEP, step=MAX_STEP)
 
 
-def adaptive_cutoff(
-    sample: GroupedSample, eta: float = DEFAULT_ETA, ev: CfEvaluation | None = None
-) -> CutoffRecord:
-    """Data-driven cutoff: scan |phi_hat| on ``scan_grid(sample)``, refine the
-    first threshold crossing with ``ecf_crossing``, cap at n^{1/K}.
+def cap_spread(sample: GroupedSample) -> SpreadEcf:
+    """The sample spread once up to ``scan_grid(sample).u_max``: the largest
+    frequency the adaptive and oracle rules read."""
+    return SpreadEcf(sample, scan_grid(sample).u_max)
 
-    ``ev`` is an evaluation of the sample on ``scan_grid(sample)`` to reuse,
-    with or without the derivative; without it |phi_hat| alone is evaluated.
-    A threshold >= |phi_hat(0)| = 1 leaves no cutoff > 0: ParameterError.
+
+def adaptive_cutoff(ecf: SpreadEcf, eta: float = DEFAULT_ETA) -> CutoffRecord:
+    """Data-driven cutoff: scan |phi_hat| on ``scan_grid``, refine the first
+    threshold crossing with ``SpreadEcf.crossing``, cap at n^{1/K}.
+
+    ``ecf`` is the sample's spread, e.g. ``cap_spread(sample)``.  A
+    threshold >= |phi_hat(0)| = 1 leaves no cutoff > 0: ParameterError.
     """
-    t = threshold_value(sample.n, sample.group_size, eta)
-    cap = cutoff_cap(sample.n, sample.group_size)
-    if ev is None:
-        ev = evaluate_grid(sample, scan_grid(sample), with_derivative=False)
+    t = threshold_value(ecf.n, ecf.group_size, eta)
+    cap = cutoff_cap(ecf.n, ecf.group_size)
+    ev = ecf.read(scan_grid(ecf))
     params = {"eta": eta, "threshold": t, "cap": cap}
     u = ev.grid.points
     below = np.flatnonzero(ev.abs_phi <= t)
     k = int(below[0]) if below.size else u.size
     if k == 0:
         raise ParameterError(
-            f"the adaptive threshold {t:.4g} exceeds 1 at n={sample.n}; no cutoff is > 0"
+            f"the adaptive threshold {t:.4g} exceeds 1 at n={ecf.n}; no cutoff is > 0"
         )
     # the scan point past the crossing may lie beyond the cap when the
     # crossing itself does not, so refine whenever the bracket starts below it
     value = cap
     if k < u.size and u[k - 1] < cap:
-        value = ecf_crossing(sample, t, u[k - 1], u[k])
+        value = ecf.crossing(t, u[k - 1], u[k])
     if value >= cap:
         return CutoffRecord(cap, "adaptive", False, MAX_STEP, params)
     return CutoffRecord(value, "adaptive", True, MAX_STEP, params)
@@ -164,7 +167,7 @@ def oracle_risks(
 def estimate(
     sample: GroupedSample, xgrid: XGrid, cutoff="adaptive", eta=DEFAULT_ETA, law=None
 ) -> DensityEstimate:
-    """The summand's density on ``xgrid`` from one ECF evaluation: the
+    """The summand's density on ``xgrid`` from one spread of the sample: the
     distinguished-log K-th root on [0, m], inverted at the cutoff m.
 
     ``cutoff`` is "adaptive" (the threshold rule at ``eta``), a fixed m > 0,
@@ -172,13 +175,18 @@ def estimate(
     over ``default_oracle_grid`` up to the cap n^{1/K} (the first minimum).
     The oracle scores and inverts one feasible root at ``default_step(cap)``,
     and records where |phi_hat| hit the integration floor (``truncated_at``);
-    the other rules invert a root at ``default_step(m)``.
+    the other rules invert a root at ``default_step(m)``.  The adaptive and
+    oracle rules spread the sample up to the cap plus MAX_STEP, a fixed m up
+    to m + default_step(m).
     """
     check_eta(eta)
     if cutoff == "oracle":
+        if law is None:
+            raise ParameterError("cutoff='oracle' needs the true law (law=)")
         cap = cutoff_cap(sample.n, sample.group_size)
         step = default_step(cap)
-        root, violation = feasible_root(evaluate_grid(sample, UGrid(cap + step, step)))
+        ecf = cap_spread(sample)
+        root, violation = feasible_root(ecf.read(UGrid(cap + step, step)))
         candidates = default_oracle_grid(min(cap, root.u_limit))
         snapped, risks = oracle_risks(root, law.pdf, candidates, xgrid)
         best = int(np.argmin(risks))  # first minimum = smallest m on ties
@@ -189,14 +197,22 @@ def estimate(
         m = record.value
     else:
         if cutoff == "adaptive":
-            record = adaptive_cutoff(sample, eta)
+            ecf = cap_spread(sample)
+            record = adaptive_cutoff(ecf, eta)
             m = record.value
         else:
-            record, m = None, float(cutoff)
+            try:
+                record, m = None, float(cutoff)
+            except (TypeError, ValueError):
+                raise ParameterError(
+                    "cutoff must be 'adaptive', 'oracle' or a number > 0 "
+                    f"(got {cutoff!r})"
+                ) from None
             if not (math.isfinite(m) and m > 0):
                 raise ParameterError(f"fixed cutoff must be > 0 (got {m})")
+            ecf = SpreadEcf(sample, m + default_step(m))
         step = default_step(m)
-        root = distinguished_root(evaluate_grid(sample, UGrid(m + step, step)), m)
+        root = distinguished_root(ecf.read(UGrid(m + step, step)), m)
     rule = record.as_dict() if record is not None else {"rule": "fixed"}
     return replace(invert(root, m, xgrid), cutoff_rule=rule, provenance={"n": sample.n})
 

@@ -1,30 +1,33 @@
-"""Empirical characteristic function of a grouped sample on points and grids.
+"""Empirical characteristic function of a grouped sample, spread once and
+read on any grid or at any point.
 
 phi_hat(u) = mean_j e^{iu Y_j} and its derivative phi_hat'(u) =
-mean_j iY_j e^{iu Y_j}.  Grid evaluation recentres the observations at
-their sample mean before transforming: phi_hat(u) = e^{iuc} * mean_j
-e^{iu(Y_j - c)} is an exact identity, and downstream quadrature of the
-log-derivative is much better conditioned on the centred factor (whose
-derivatives scale with the spread of Y rather than with its location).
-Between two grid points, ``ecf_crossing`` locates where |phi_hat| falls to
-a level from one Taylor expansion of the centred factor.
+mean_j iY_j e^{iu Y_j}.  Evaluation recentres the observations at their
+sample median c: phi_hat(u) = e^{iuc} * mean_j e^{iu(Y_j - c)} is an exact
+identity, and downstream quadrature of the log-derivative is much better
+conditioned on the centred factor (whose derivatives scale with the spread
+of Y rather than with its location).  The median, unlike the mean, stays
+inside the bulk of the sample whatever a few far values do.  ``SpreadEcf``
+spreads the centred sample once and serves every read: the threshold scan,
+the crossing between two of its points, and the root's grid.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._nufft import uniform_cf_sums
+from ._fourier import HALF_WIDTH, GaussianSpread, grid_spacing
 from .errors import ParameterError
 from .samples import GroupedSample
 
-__all__ = ["UGrid", "CfEvaluation", "ecf_at", "ecf_crossing", "evaluate_grid"]
+__all__ = ["UGrid", "CfEvaluation", "SpreadEcf"]
 
-# The crossing's Taylor series stops once its remainder bound is below this.
-SERIES_TOL = 1e-17
 # The crossing's bisection stops once its bracket is this narrow.
 CROSSING_XTOL = 1e-13
+# The most y-grid points one spread may hold (see SpreadEcf).
+GRID_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,106 +106,94 @@ class CfEvaluation:
         )
 
 
-def ecf_at(sample: GroupedSample, u) -> complex | np.ndarray:
-    """phi_hat(u) = mean_j e^{iu Y_j}, evaluated directly."""
-    u_arr = np.asarray(u, dtype=float)
-    vals = np.exp(1j * np.multiply.outer(u_arr, sample.observations)).mean(axis=-1)
-    return complex(vals) if np.isscalar(u) or u_arr.ndim == 0 else vals
+class SpreadEcf:
+    """phi_hat of one sample for 0 <= u <= ``u_max``, from one spread of it.
 
+    The observations are centred at their median c and spread once, with
+    weight 1, onto a uniform y-grid (``_fourier.GaussianSpread``) of at most
+    GRID_BUDGET points.  ``read`` gives phi_hat and phi_hat' on a uniform
+    grid from one chirp-z transform of it, ``modulus`` |phi_hat| at one u
+    from one dot product, and ``crossing`` bisects on ``modulus``.
 
-def ecf_crossing(sample: GroupedSample, level: float, lo: float, hi: float) -> float:
-    """A u in [lo, hi] where |phi_hat(u)| falls to ``level``, to CROSSING_XTOL.
-
-    Needs |phi_hat(lo)| > level >= |phi_hat(hi)|.  With Y_c = Y - mean(Y)
-    and h = hi - lo, the centred factor near lo is the Taylor series
-
-        phi_c(lo + s*h) = sum_p (i*s)^p / p! * mean((h*Y_c)^p e^{i*lo*Y_c}),
-
-    s in [0, 1], whose terms past order P add up to at most
-    r^{P+1} / (P+1)! with r = h * max|Y_c| (the Taylor-series DFT of
-    Anderson & Dahleh 1996).  The bracket is first bisected with direct
-    ``ecf_at`` evaluations until r <= 1, or to CROSSING_XTOL if no float
-    bracket is that narrow; one cos/sin pass and P real dot products then
-    give the series, and the rest of the bisection runs on the polynomial
-    alone.
+    Observations farther from c than the grid reaches are summed directly
+    at a single u, O(n_far).  A grid read repeats over Y -> Y + 2 pi / step,
+    so for a grid they are wrapped into one such period and spread for that
+    read: O(n_far), on a grid of 12 * modes points.
     """
-    lo, hi = float(lo), float(hi)
-    yc = sample.observations - sample.mean
-    spread = float(np.abs(yc).max())
-    while (hi - lo) * spread > 1.0:
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= CROSSING_XTOL or not lo < mid < hi:
-            return mid  # so wide a sample is bisected on ecf_at alone
-        if abs(ecf_at(sample, mid)) > level:
-            lo = mid
-        else:
-            hi = mid
-    h = hi - lo
-    r = h * spread
 
-    theta = lo * yc
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta, out=theta)
-    yc *= h  # now h * Y_c, each |h * Y_c| <= r <= 1
-    power = np.ones_like(yc)
-    coefs = []  # coefs[p] multiplies s^p
-    scale = 1.0 / sample.n  # i^p / (p! n)
-    order, remainder = 0, r
-    while True:
-        coefs.append(scale * complex(power @ cos_t, power @ sin_t))
-        if not remainder >= SERIES_TOL:
-            break
-        order += 1
-        remainder *= r / (order + 1)
-        scale *= 1j / order
-        power *= yc
-    coefs.reverse()
+    def __init__(self, sample: GroupedSample, u_max: float):
+        y = sample.observations
+        self.n = sample.n
+        self.group_size = sample.group_size
+        self.u_max = float(u_max)
+        # a sample median (the upper one for even n): one partition, no sort,
+        # in the buffer that then holds the centred observations
+        yc = y.copy()
+        yc.partition(self.n // 2)
+        self.center = float(yc[self.n // 2])
+        self._mean_c = sample.mean - self.center
+        np.subtract(y, self.center, out=yc)
+        reach = (GRID_BUDGET // 2 - HALF_WIDTH - 1) * grid_spacing(u_max)
+        self._far = y[:0]
+        if max(-yc.min(), yc.max()) > reach:
+            near = np.abs(yc) <= reach
+            self._far, yc = y[~near], yc[near]
+        self._spread = GaussianSpread(yc, u_max)
+        self._reads = {}  # grid -> CfEvaluation: a grid read twice costs once
 
-    a, b = lo, hi
-    while True:
-        mid = 0.5 * (a + b)
-        if b - a <= CROSSING_XTOL or not a < mid < b:
-            return mid
-        s = (mid - lo) / h
-        acc = 0j
-        for c in coefs:  # Horner
-            acc = acc * s + c
-        if abs(acc) > level:
-            a = mid
-        else:
-            b = mid
+    def _far_sums(self, grid: UGrid):
+        """sum_far e^{iu(Y - c)} and its u-derivative on the grid's points."""
+        wrapped = np.fmod(self._far, 2.0 * math.pi / grid.step)  # exact
+        count = grid.n_half + 1
+        s, _ = GaussianSpread(wrapped, grid.u_max).grid(grid.step, count)
+        centred = self._far - self.center
+        s_y, _ = GaussianSpread(wrapped, grid.u_max, centred).grid(grid.step, count)
+        back = np.exp(-1j * self.center * grid.points)
+        return s * back, 1j * s_y * back
 
+    def read(self, grid: UGrid) -> CfEvaluation:
+        """phi_hat and phi_hat' on every nonnegative point of ``grid``."""
+        if grid not in self._reads:
+            self._reads[grid] = self._read(grid)
+        return self._reads[grid]
 
-def evaluate_grid(
-    sample: GroupedSample, grid: UGrid, with_derivative: bool = True
-) -> CfEvaluation:
-    """Evaluate phi_hat and phi_hat' on every nonnegative grid point.
+    def _read(self, grid: UGrid) -> CfEvaluation:
+        if grid.u_max > self.u_max * (1 + 1e-9):
+            raise ParameterError(
+                f"grid reaches u={grid.u_max:g}, past the spread's u_max={self.u_max:g}"
+            )
+        count = grid.n_half + 1
+        s, ds = self._spread.grid(grid.step, count)
+        if self._far.size:
+            far_s, far_ds = self._far_sums(grid)
+            s, ds = s + far_s, ds + far_ds
+        phi_c, dphi_c = s / self.n, ds / self.n
+        # mathematically exact endpoint values
+        phi_c[0] = 1.0
+        dphi_c[0] = 1j * self._mean_c
+        return CfEvaluation(grid, self.center, phi_c, dphi_c, self.n, self.group_size)
 
-    Pure function of (sample, grid): repeated calls are byte-identical, and
-    the values agree with the direct sums (``ecf_at`` for phi_hat) to well
-    below 1e-12.
-    """
-    y = sample.observations
-    n = sample.n
-    c = sample.mean
-    yc = y - c
-    ones = np.ones(n)
-    if with_derivative:
-        sums = uniform_cf_sums(yc, grid.step, grid.n_half, [ones, yc])
-        phi_c = sums[0] / n
-        dphi_c = 1j * sums[1] / n
-    else:
-        (s0,) = uniform_cf_sums(yc, grid.step, grid.n_half, [ones])
-        phi_c = s0 / n
-        dphi_c = np.zeros_like(phi_c)
-    # mathematically exact endpoint values
-    phi_c[0] = 1.0
-    dphi_c[0] = 1j * float(yc.mean())
-    return CfEvaluation(
-        grid=grid,
-        center=c,
-        phi_centered=phi_c,
-        dphi_centered=dphi_c,
-        n=n,
-        group_size=sample.group_size,
-    )
+    def modulus(self, u: float) -> float:
+        """|phi_hat(u)| at a single frequency."""
+        total = self._spread.at(u)
+        if self._far.size:
+            total += np.exp(-1j * u * self.center) * np.exp(1j * u * self._far).sum()
+        return abs(total) / self.n
+
+    def crossing(self, level: float, lo: float, hi: float) -> float:
+        """A u in [lo, hi] where |phi_hat(u)| falls to ``level``, to CROSSING_XTOL.
+
+        Needs |phi_hat(lo)| > level >= |phi_hat(hi)|; bisects on ``modulus``
+        until the bracket is within CROSSING_XTOL or its midpoint equals an
+        end.
+        """
+        lo, hi = float(lo), float(hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= CROSSING_XTOL or not lo < mid < hi:
+                return mid
+            if self.modulus(mid) > level:
+                lo = mid
+            else:
+                hi = mid
+

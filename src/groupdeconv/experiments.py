@@ -19,13 +19,13 @@ import numpy as np
 from .bandwidth import (
     DEFAULT_ETA,
     adaptive_cutoff,
+    cap_spread,
     check_eta,
     cutoff_cap,
     default_oracle_grid,
     oracle_risks,
     scan_grid,
 )
-from .charfn import evaluate_grid
 from .errors import GroupDeconvError, ParameterError
 from .inversion import XGrid, centred_xgrid
 from .rootlog import feasible_root
@@ -105,13 +105,14 @@ def run_replication(
     """One sample, both estimators, both risks (same sample, same x-grid
     ``law_xgrid(law)``).
 
-    One evaluation on the adaptive scan grid serves both the threshold scan
-    and the root, so the root's step is MAX_STEP.
+    One spread of the sample serves the threshold scan and the root, which
+    is read on the scan grid, so the root's step is MAX_STEP.
     """
     sample = generate_grouped(law, n, group_size, seed)
-    ev = evaluate_grid(sample, scan_grid(sample))
-    record = adaptive_cutoff(sample, eta, ev)
+    ecf = cap_spread(sample)
+    record = adaptive_cutoff(ecf, eta)
     m_hat = record.value
+    ev = ecf.read(scan_grid(sample))
     step = ev.grid.step
     if m_hat < step:
         raise GroupDeconvError(

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fourier import chirp_z
 from .errors import CutoffExceedsRange, ParameterError
 from .rootlog import RootEstimate
 from .samples import GroupedSample
@@ -136,28 +137,6 @@ class DensityEstimate:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _chirp_z(a: np.ndarray, step: float, xgrid: XGrid) -> np.ndarray:
-    """sum_k a[c, k] exp(-i x_j k step) for every row c and grid point x_j.
-
-    On the uniform grid x_j = x_min + j dx this is a chirp-z transform
-    (Bluestein 1970): with theta = dx * step, the identity
-    jk = (j^2 + k^2 - (j - k)^2) / 2 turns the sum into a convolution with
-    the chirp exp(i theta n^2 / 2), done by FFT in O((J + K) log(J + K)) per
-    row instead of O(J K).
-    """
-    n_modes = a.shape[1]
-    count = xgrid.count
-    theta = xgrid.spacing * step
-    size = 1 << (count + n_modes - 2).bit_length()  # no wrap-around: >= J + K - 1
-    k = np.arange(n_modes, dtype=float)
-    pre = np.exp(-1j * (xgrid.x_min * step * k + 0.5 * theta * k**2))
-    n = np.arange(-(n_modes - 1), count, dtype=float)
-    chirp = np.fft.fft(np.exp(0.5j * theta * n**2), size)
-    conv = np.fft.ifft(np.fft.fft(a * pre, size, axis=1) * chirp, axis=1)
-    j = np.arange(count, dtype=float)
-    return conv[:, n_modes - 1 : n_modes - 1 + count] * np.exp(-0.5j * theta * j**2)
-
-
 def _cutoff_index(root: RootEstimate, m: float) -> int:
     if not (m > 0):
         raise ParameterError(f"cutoff m must be > 0 (got {m})")
@@ -195,8 +174,8 @@ def invert_prefixes(root: RootEstimate, ms, xgrid: XGrid) -> np.ndarray:
         if k >= 1:
             row[: k + 1] = step
             row[0] = row[k] = step / 2.0
-    sums = _chirp_z(weights * root.values()[: weights.shape[1]], step, xgrid)
-    return sums.real / math.pi
+    values = weights * root.values()[: weights.shape[1]]
+    return chirp_z(values, step, xgrid.x_min, xgrid.spacing, xgrid.count).real / math.pi
 
 
 def l2_distance(values, density, xgrid: XGrid):

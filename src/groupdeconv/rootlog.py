@@ -39,12 +39,12 @@ __all__ = [
 PHASE_STEP_BOUND = math.pi / 4.0
 
 # The largest frequency step anywhere: the adaptive threshold scan, the
-# simulation's root (which shares the scan's evaluation) and the ceiling of
-# default_step.  At 0.01 the centred log-derivative quadrature error stays
-# orders of magnitude below the statistical error in every benchmark
-# scenario while staying affordable.  Dips of |phi_hat| narrower than one
-# step can be missed by the scan; |phi_hat| is Lipschitz with constant
-# mean|Y|, so this is adequate for anything but extreme scales.
+# simulation's root (read on the scan grid from the same spread) and the
+# ceiling of default_step.  At 0.01 the centred log-derivative quadrature
+# error stays orders of magnitude below the statistical error in every
+# benchmark scenario while staying affordable.  Dips of |phi_hat| narrower
+# than one step can be missed by the scan; |phi_hat| is Lipschitz with
+# constant mean|Y|, so this is adequate for anything but extreme scales.
 MAX_STEP = 0.01
 
 

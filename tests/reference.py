@@ -3,8 +3,22 @@ import math
 
 import numpy as np
 
-from groupdeconv.charfn import ecf_at
+from groupdeconv.bandwidth import scan_grid
+from groupdeconv.charfn import SpreadEcf
 from groupdeconv.rootlog import RootEstimate
+
+
+def ecf_at(sample, u):
+    """phi_hat(u) = mean_j e^{iu Y_j}, evaluated directly."""
+    u_arr = np.asarray(u, dtype=float)
+    vals = np.exp(1j * np.multiply.outer(u_arr, sample.observations)).mean(axis=-1)
+    return complex(vals) if np.isscalar(u) or u_arr.ndim == 0 else vals
+
+
+def evaluate_grid(sample, grid):
+    """phi_hat and phi_hat' on a grid, from a spread of the sample up to the
+    grid's u_max."""
+    return SpreadEcf(sample, grid.u_max).read(grid)
 
 
 def ecf_derivative_at(sample, u):
@@ -26,6 +40,13 @@ def bisect_crossing(sample, level, lo, hi, xtol=1e-13):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def scan_bracket(sample, level):
+    """The scan grid points around the first |phi_hat| <= ``level``."""
+    ev = evaluate_grid(sample, scan_grid(sample))
+    k = int(np.flatnonzero(ev.abs_phi <= level)[0])
+    return ev.grid.points[k - 1], ev.grid.points[k]
 
 
 def phi(ev):

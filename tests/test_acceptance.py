@@ -12,13 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from groupdeconv.bandwidth import adaptive_cutoff, cutoff_cap
-from groupdeconv.charfn import CfEvaluation, UGrid, evaluate_grid
+from groupdeconv.bandwidth import adaptive_cutoff, cap_spread, cutoff_cap
+from groupdeconv.charfn import CfEvaluation, UGrid
 from groupdeconv.experiments import ScenarioGrid, run_grid, run_replication
 from groupdeconv.inversion import XGrid, invert
 from groupdeconv.rootlog import distinguished_root, feasible_root
 from groupdeconv.samples import Gamma, Normal, benchmark_laws, generate_grouped, make_rng
-from reference import energy_u, energy_x, phi, root_from_values
+from reference import energy_u, energy_x, evaluate_grid, phi, root_from_values
 
 LAWS = benchmark_laws()
 
@@ -128,8 +128,9 @@ def test_criterion_3_plancherel_consistency():
                 sample = generate_grouped(law, n, k, seed=(3000, n, k))
                 step = 0.01
                 cap = cutoff_cap(n, float(k))
-                ev = evaluate_grid(sample, UGrid(cap + step, step))
-                rec = adaptive_cutoff(sample)
+                ecf = cap_spread(sample)
+                ev = ecf.read(UGrid(cap + step, step))
+                rec = adaptive_cutoff(ecf)
                 root, _ = feasible_root(ev)
                 m = min(rec.value, root.u_limit)
                 sigma = math.sqrt(sample.variance / k)
@@ -298,7 +299,7 @@ def test_criterion_7_adaptive_cutoff_invariants():
         n = int(rng.integers(100, 3000))
         k = int(rng.integers(1, 12))
         s = generate_grouped(law, n, k, seed=(7100, i))
-        rec = adaptive_cutoff(s)
+        rec = adaptive_cutoff(cap_spread(s))
         cap_ok = cap_ok and rec.value <= cutoff_cap(n, float(k)) + 1e-9
 
     # (b) nonincreasing in eta on 50 random samples (within scan resolution)
@@ -307,7 +308,7 @@ def test_criterion_7_adaptive_cutoff_invariants():
     for i in range(50):
         law = law_list[i % 4]
         s = generate_grouped(law, 500, 4, seed=(7200, i))
-        values = [adaptive_cutoff(s, eta=e).value for e in etas]
+        values = [adaptive_cutoff(cap_spread(s), eta=e).value for e in etas]
         eta_ok = eta_ok and all(
             lo <= hi + 0.01 for hi, lo in zip(values[:-1], values[1:])
         )
@@ -316,7 +317,7 @@ def test_criterion_7_adaptive_cutoff_invariants():
     # never crosses and the cap is returned
     from groupdeconv.samples import GroupedSample
 
-    rec = adaptive_cutoff(GroupedSample(np.full(200, 11.1), 3.0))
+    rec = adaptive_cutoff(cap_spread(GroupedSample(np.full(200, 11.1), 3.0)))
     const_ok = rec.value == pytest.approx(cutoff_cap(200, 3.0)) and not rec.threshold_hit
 
     elapsed = time.perf_counter() - t0

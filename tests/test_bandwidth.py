@@ -4,18 +4,22 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupdeconv.bandwidth import (
     adaptive_cutoff,
+    cap_spread,
     cutoff_cap,
     default_oracle_grid,
     diagnostic_level,
     diagnostic_threshold_u,
+    estimate,
     oracle_risks,
     scan_grid,
     threshold_value,
 )
-from groupdeconv.charfn import UGrid, evaluate_grid
+from groupdeconv.charfn import UGrid
 from groupdeconv.errors import LevelNotReached, ParameterError
 from groupdeconv.inversion import XGrid, default_xgrid, invert, l2_distance
 from groupdeconv.rootlog import default_step, feasible_root
@@ -27,7 +31,7 @@ from groupdeconv.samples import (
     generate_grouped,
     make_rng,
 )
-from reference import root_from_values
+from reference import bisect_crossing, evaluate_grid, root_from_values, scan_bracket
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +58,7 @@ def test_threshold_validation():
 def test_adaptive_cutoff_rejects_non_finite_eta(eta):
     s = generate_grouped(Normal(), 1000, 5, seed=1)
     with pytest.raises(ParameterError, match="eta must be a finite number > 1"):
-        adaptive_cutoff(s, eta=eta)
+        adaptive_cutoff(cap_spread(s), eta=eta)
 
 
 def test_cutoff_cap():
@@ -70,7 +74,7 @@ def test_cutoff_cap():
 
 def test_degenerate_sample_returns_cap():
     s = GroupedSample(np.full(50, 3.7), 2.0)
-    rec = adaptive_cutoff(s, eta=1.1)
+    rec = adaptive_cutoff(cap_spread(s), eta=1.1)
     assert rec.value == pytest.approx(cutoff_cap(50, 2.0))
     assert rec.threshold_hit is False
 
@@ -78,23 +82,17 @@ def test_degenerate_sample_returns_cap():
 def test_threshold_above_one_leaves_no_cutoff():
     s = GroupedSample(np.array([0.3, 1.9]), 1.0)  # n=2, K=1: t > 1 = |phi_hat(0)|
     with pytest.raises(ParameterError, match="exceeds 1 at n=2"):
-        adaptive_cutoff(s, eta=1.1)
+        adaptive_cutoff(cap_spread(s), eta=1.1)
 
 
 def test_adaptive_crossing_matches_brute_force_scan():
     # oracle: exhaustive scan at resolution 1e-4 for the first |phi_hat| <= t
-    from groupdeconv.charfn import evaluate_grid
-
     laws = [Normal(2.0, 1.0), Gamma(6.0, 3.0), Laplace(0.5, 1 / 3)]
     for seed in range(50):
         s = generate_grouped(laws[seed % 3], 1000, 5, seed=(77, seed))
-        rec = adaptive_cutoff(s, eta=1.1)
-        # the simulation's path: reuse an evaluation that has the derivative
-        assert adaptive_cutoff(s, eta=1.1, ev=evaluate_grid(s, scan_grid(s))) == rec
+        rec = adaptive_cutoff(cap_spread(s), eta=1.1)
         t = threshold_value(1000, 5.0, 1.1)
-        fine = evaluate_grid(
-            s, UGrid(rec.value + 0.05, 1e-4), with_derivative=False
-        )
+        fine = evaluate_grid(s, UGrid(rec.value + 0.05, 1e-4))
         below = np.flatnonzero(fine.abs_phi <= t)
         if rec.threshold_hit:
             assert abs(rec.value - fine.grid.points[below[0]]) < 2e-4
@@ -108,7 +106,7 @@ def test_adaptive_nonincreasing_in_eta():
     etas = [1.05, 1.2, 1.5, 2.5, 4.0]
     for seed in range(50):
         s = generate_grouped(Gamma(6.0, 3.0), 400, 3, seed=(5150, seed))
-        values = [adaptive_cutoff(s, eta=e).value for e in etas]
+        values = [adaptive_cutoff(cap_spread(s), eta=e).value for e in etas]
         for hi, lo in zip(values[:-1], values[1:]):
             assert lo <= hi + 0.01
 
@@ -117,7 +115,7 @@ def test_adaptive_capped_at_n_to_one_over_k():
     for seed in range(20):
         n = int(make_rng((88, seed)).integers(50, 2000))
         s = generate_grouped(Laplace(0.5, 1 / 3), n, 5, seed=(999, seed))
-        rec = adaptive_cutoff(s)
+        rec = adaptive_cutoff(cap_spread(s))
         assert rec.value <= cutoff_cap(n, 5.0) + 1e-12
 
 
@@ -127,7 +125,7 @@ def test_adaptive_cutoff_grows_with_n():
     for n in (1000, 10000):
         vals = [
             adaptive_cutoff(
-                generate_grouped(Normal(2.0, 1.0), n, 5, seed=(4242, n, r))
+                cap_spread(generate_grouped(Normal(2.0, 1.0), n, 5, seed=(4242, n, r)))
             ).value
             for r in range(50)
         ]
@@ -140,13 +138,42 @@ def test_adaptive_cutoff_refines_a_crossing_just_below_the_cap():
     # point past the crossing then lies beyond the cap, the crossing does not
     s = generate_grouped(Normal(), 1000, 5, seed=1)
     cap = cutoff_cap(1000, 5.0)
-    m = adaptive_cutoff(s).value
+    m = adaptive_cutoff(cap_spread(s)).value
     wide = GroupedSample(s.observations * (m / (cap - 0.0005)), 5.0)
     grid = scan_grid(wide)
     assert grid.points[grid.index_of(cap - 0.0005) + 1] > cap
-    rec = adaptive_cutoff(wide)
+    rec = adaptive_cutoff(cap_spread(wide))
     assert rec.threshold_hit
     assert rec.value == pytest.approx(cap - 0.0005, abs=1e-9)
+
+
+def test_fill_value_leaves_the_crossing_of_the_rest():
+    # one NetCDF fill value among 1000 normal 5-sums lies far past the
+    # spread's reach; it moves |phi_hat| by at most 1/1001, so the cutoff
+    # lies where the other 1000 cross (1001 t -+ 1) / 1000
+    y = generate_grouped(Normal(), 1000, 5, seed=1).observations
+    rec = adaptive_cutoff(cap_spread(GroupedSample(np.append(y, 9.97e36), 5.0)))
+    assert rec.threshold_hit
+    bulk, t = GroupedSample(y, 5.0), rec.params["threshold"]
+    crossings = [
+        bisect_crossing(bulk, level, *scan_bracket(bulk, level))
+        for level in ((1001 * t + 1) / 1000, (1001 * t - 1) / 1000)
+    ]
+    assert crossings[0] <= rec.value <= crossings[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ticks=st.lists(st.integers(-(2**25), 2**25), min_size=20, max_size=300),
+    shift=st.integers(-(2**20), 2**20),
+    group_size=st.integers(1, 8),
+)
+def test_adaptive_cutoff_is_blind_to_an_exact_translation(ticks, shift, group_size):
+    # on a 2^-20 lattice Y + c is exact, and so are the median and Y minus it
+    y = np.ldexp(np.array(ticks, dtype=float), -20)
+    before = adaptive_cutoff(cap_spread(GroupedSample(y, group_size)))
+    after = adaptive_cutoff(cap_spread(GroupedSample(y + shift, group_size)))
+    assert after == before
 
 
 def test_adaptive_cutoff_leaves_no_cycle_holding_the_sample():
@@ -155,7 +182,7 @@ def test_adaptive_cutoff_leaves_no_cycle_holding_the_sample():
     s = generate_grouped(Normal(2.0, 1.0), 1000, 5, seed=12)
     gc.disable()
     try:
-        assert adaptive_cutoff(s).threshold_hit
+        assert adaptive_cutoff(cap_spread(s)).threshold_hit
         ref = weakref.ref(s)
         del s
         assert ref() is None
@@ -208,7 +235,7 @@ def test_oracle_beats_or_matches_adaptive_when_injected():
     cap = cutoff_cap(1000, 5.0)
     for seed in range(5):
         s = generate_grouped(law, 1000, 5, seed=(31337, seed))
-        rec_a = adaptive_cutoff(s)
+        rec_a = adaptive_cutoff(cap_spread(s))
         root = sample_root(s, cap, default_step(cap))
         xg = default_xgrid(s)
         candidates = np.append(default_oracle_grid(min(cap, root.u_limit)), rec_a.value)
@@ -284,3 +311,30 @@ def test_diagnostic_level_not_reached():
         diagnostic_threshold_u(
             Laplace(0.5, 1.0 / 3.0), 100, 1.0, gamma=1e-12, eps=0.1
         )
+
+
+# ---------------------------------------------------------------------------
+# estimate
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cutoff", ["adaptive", "oracle", 1.3])
+def test_each_rule_spreads_the_sample_once(cutoff, spreads):
+    law = Normal(2.0, 1.0)
+    s = generate_grouped(law, 2000, 5, seed=8)
+    est = estimate(s, default_xgrid(s), cutoff, law=law)
+    assert len(spreads) == 1
+    assert spreads[0] >= est.cutoff_m
+
+
+def test_estimate_oracle_without_law_names_it():
+    s = generate_grouped(Normal(), 500, 5, seed=2)
+    with pytest.raises(ParameterError, match="law="):
+        estimate(s, default_xgrid(s), "oracle")
+
+
+@pytest.mark.parametrize("cutoff", ["bogus", None])
+def test_estimate_rejects_an_unknown_cutoff(cutoff):
+    s = generate_grouped(Normal(), 500, 5, seed=2)
+    with pytest.raises(ParameterError, match="cutoff must be"):
+        estimate(s, default_xgrid(s), cutoff)

@@ -6,13 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import groupdeconv.charfn as charfn
-from groupdeconv._nufft import _MSP, uniform_cf_sums
-from groupdeconv.bandwidth import adaptive_cutoff, scan_grid, threshold_value
-from groupdeconv.charfn import CfEvaluation, UGrid, ecf_at, ecf_crossing, evaluate_grid
+from groupdeconv._fourier import grid_spacing
+from groupdeconv.bandwidth import adaptive_cutoff, cap_spread, threshold_value
+from groupdeconv.charfn import CROSSING_XTOL, CfEvaluation, SpreadEcf, UGrid
 from groupdeconv.errors import ParameterError
+from groupdeconv.rootlog import MAX_STEP
 from groupdeconv.samples import GroupedSample, Gumbel, Normal, generate_grouped, make_rng
-from reference import bisect_crossing, dphi, ecf_derivative_at, phi
+from reference import (
+    bisect_crossing,
+    dphi,
+    ecf_at,
+    ecf_derivative_at,
+    evaluate_grid,
+    phi,
+    scan_bracket,
+)
 
 
 def normal_sum_sample(n=2000, k=5, seed=11):
@@ -154,30 +162,37 @@ def test_from_function_wraps_analytic_cf():
 
 
 # ---------------------------------------------------------------------------
-# gridded transform against the direct reference kernel
+# the one spread against a direct O(n * M) reference
 # ---------------------------------------------------------------------------
 
 
-def direct_cf_sums(y, step, n_modes, weight_sets):
-    """Reference O(n*M) evaluation of the sums ``uniform_cf_sums`` computes."""
-    z = np.exp(1j * step * y)
-    outputs = [np.empty(n_modes + 1, complex) for _ in weight_sets]
-    w_pow = np.ones_like(z)
-    for k in range(n_modes + 1):
-        for out, w in zip(outputs, weight_sets):
-            out[k] = np.dot(w, w_pow)
-        w_pow = w_pow * z
-        if (k + 1) % 512 == 0:
-            w_pow /= np.abs(w_pow)  # keep the unit-modulus factor from drifting
-    return outputs
+def direct_ecf(y, u):
+    """Reference phi_hat and phi_hat' at every u, one direct sum per point."""
+    phi_, dphi_ = np.empty(u.size, complex), np.empty(u.size, complex)
+    for start in range(0, u.size, 256):
+        terms = np.exp(1j * np.multiply.outer(u[start : start + 256], y))
+        phi_[start : start + 256] = terms.mean(axis=1)
+        dphi_[start : start + 256] = 1j * (terms @ y) / y.size
+    return phi_, dphi_
 
 
-def _edge_points(rng, n, n_modes, step):
-    """Points whose phase step*y lies within one kernel width of 0 or 2*pi."""
-    mr = 1 << max(4, int(np.ceil(np.log2(2.0 * (2 * n_modes + 1)))))
-    width = _MSP * 2.0 * np.pi / mr
-    turns = rng.integers(-3, 4, n)
-    return (2.0 * np.pi * turns + rng.uniform(-width, width, n)) / step
+def _spread_case(points, rng, n, u_max, n_modes, signed):
+    """Observations for one kernel case; ``signed`` puts them on both sides of 0."""
+    delta = grid_spacing(u_max)
+    if points == "cells":  # n_modes y-grid cells wide, 0 cells: all equal
+        y = rng.uniform(0.0, n_modes * delta, n)
+    elif points == "edges":  # on y-grid nodes and one ulp either side
+        nodes = rng.integers(-40, 40, n) * delta
+        y = np.nextafter(nodes, nodes + rng.choice([-1.0, 0.0, 1.0], n))
+    elif points == "wraps":  # |u y| up to ~7e4: about half past the reach
+        y = rng.uniform(-1e4, 1e4, n)
+    elif points == "outside":  # a bulk plus three values past the reach
+        # (values where |u y| nears 1/eps, like 1e17, have rounding noise for
+        # a phase in any sum; the crossing tests take those)
+        y = np.concatenate([rng.normal(0.0, 3.0, n - 3), [-2e4, 1.5e4, 3e4]])
+    else:
+        y = rng.normal(0.0, 3.0, n)
+    return y if signed else y + 50.0
 
 
 @pytest.mark.parametrize(
@@ -186,47 +201,57 @@ def _edge_points(rng, n, n_modes, step):
         pytest.param("normal", 100, 64, False, id="100-64"),
         pytest.param("normal", 2000, 700, False, id="2000-700"),
         pytest.param("normal", 500, 4096, False, id="500-4096"),
-        # the smallest fine grid (16 points, narrower than the 2*_MSP kernel)
-        pytest.param("normal", 300, 0, True, id="small-grid-0"),
-        pytest.param("normal", 300, 1, True, id="small-grid-1"),
-        pytest.param("normal", 300, 3, True, id="small-grid-3"),
-        # phases that spread across both ends of the fine grid
+        # the smallest spread grids: all observations within 0, 1 or 3 cells
+        pytest.param("cells", 300, 0, True, id="small-grid-0"),
+        pytest.param("cells", 300, 1, True, id="small-grid-1"),
+        pytest.param("cells", 300, 3, True, id="small-grid-3"),
+        # observations on the y-grid's nodes, where floor(y / delta) flips
         pytest.param("edges", 400, 3, True, id="edges-3"),
         pytest.param("edges", 400, 64, True, id="edges-64"),
         pytest.param("edges", 400, 700, True, id="edges-700"),
-        # |step*y| up to ~1e4: the phase wraps many times
+        # wider than the grid budget: the values past its reach are wrapped
+        # into one period of the step and spread for the read
         pytest.param("wraps", 2000, 700, True, id="wraps-700"),
+        pytest.param("outside", 500, 700, True, id="outside-700"),
     ],
 )
 def test_nufft_matches_direct_reference(points, n, n_modes, signed):
-    rng = make_rng((1234, n, n_modes))
-    step = 0.01
-    if points == "edges":
-        y = _edge_points(rng, n, n_modes, step)
-    elif points == "wraps":
-        y = rng.uniform(-1e4, 1e4, n) / step
-    else:
-        y = rng.normal(0.0, 3.0, n)
-    w1 = np.ones(n)
-    w2 = rng.normal(0.0, 1.0, n) if signed else y
-    fast = uniform_cf_sums(y, step, n_modes, [w1, w2])
-    slow = direct_cf_sums(y, step, n_modes, [w1, w2])
-    np.testing.assert_allclose(fast[0], slow[0], atol=n * 1e-13)
-    np.testing.assert_allclose(fast[1], slow[1], atol=np.abs(slow[1]).max() * 1e-11 + 1e-12)
+    grid = UGrid(max(n_modes, 1) * 0.01, 0.01)
+    y = _spread_case(points, make_rng((1234, n, n_modes)), n, grid.u_max, n_modes, signed)
+    ev = SpreadEcf(GroupedSample(y, 1.0), grid.u_max).read(grid)
+    want_phi, want_dphi = direct_ecf(y, grid.points)
+    # phi_hat' scales with the observations, or with 1/u_max for a sample
+    # narrower than that (see _fourier)
+    scale = max(1.0, 2.0 / grid.u_max, float(np.abs(y - ev.center).max()))
+    np.testing.assert_allclose(phi(ev), want_phi, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(dphi(ev), want_dphi, atol=1e-12 * scale, rtol=0)
 
 
 def test_nufft_memory_is_linear_in_points():
-    # the working set is a few (n,) arrays, not an (n, 2*_MSP) spreading block
+    # the working set is a few (n,) arrays, not an (n, 2*HALF_WIDTH) block
     n = 200_000
-    y = make_rng(77).normal(0.0, 3.0, n)
-    w1 = np.ones(n)
+    s = GroupedSample(make_rng(77).normal(0.0, 3.0, n), 1.0)
     tracemalloc.start()
     try:
-        uniform_cf_sums(y, 0.01, 700, [w1, y])
+        SpreadEcf(s, 7.0).read(UGrid(7.0, 0.01))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak / n < 128
+
+
+def test_point_read_matches_the_grid_read():
+    s = generate_grouped(Gumbel(3.0, 1.0), 5000, 5, seed=5)
+    ecf = SpreadEcf(s, 5.5)
+    ev = ecf.read(UGrid(5.5, 0.01))
+    for k in (0, 1, 77, 300, 550):
+        assert ecf.modulus(ev.grid.points[k]) == pytest.approx(ev.abs_phi[k], abs=1e-14)
+
+
+def test_read_past_the_spread_is_refused():
+    ecf = SpreadEcf(normal_sum_sample(n=200), 2.0)
+    with pytest.raises(ParameterError, match="past the spread"):
+        ecf.read(UGrid(2.5, 0.01))
 
 
 # ---------------------------------------------------------------------------
@@ -234,62 +259,64 @@ def test_nufft_memory_is_linear_in_points():
 # ---------------------------------------------------------------------------
 
 
-def scan_bracket(s, eta=1.1):
-    """(level, lo, hi): the scan grid points around the first |phi_hat| <= t."""
-    t = threshold_value(s.n, s.group_size, eta)
-    ev = evaluate_grid(s, scan_grid(s), with_derivative=False)
-    k = int(np.flatnonzero(ev.abs_phi <= t)[0])
-    return t, ev.grid.points[k - 1], ev.grid.points[k]
+def threshold_bracket(s):
+    """(t, lo, hi): the adaptive threshold and the scan points around its
+    first crossing."""
+    t = threshold_value(s.n, s.group_size, 1.1)
+    return (t, *scan_bracket(s, t))
 
 
-def counting_ecf_at(monkeypatch):
+def counting_point_reads(monkeypatch):
     calls = []
+    modulus = SpreadEcf.modulus
 
-    def counted(sample, u):
+    def counted(self, u):
         calls.append(u)
-        # a bisection to 1e-13 from a scan step of 2.5e-3 needs ~35 calls
-        assert len(calls) <= 100, "ecf_crossing does not converge"
-        return ecf_at(sample, u)
+        assert len(calls) <= 100, "the crossing does not converge"
+        return modulus(self, u)
 
-    monkeypatch.setattr(charfn, "ecf_at", counted)
+    monkeypatch.setattr(SpreadEcf, "modulus", counted)
     return calls
+
+
+# one point read per halving of a scan step down to CROSSING_XTOL
+MAX_POINT_READS = math.ceil(math.log2(MAX_STEP / CROSSING_XTOL))
 
 
 def test_crossing_matches_direct_bisection(monkeypatch):
     # shaped like the estimate benchmark: Gumbel(3, 1) 5-fold sums
     s = generate_grouped(Gumbel(3.0, 1.0), 10**4, 5, seed=41)
-    t, lo, hi = scan_bracket(s)
-    assert (hi - lo) * np.abs(s.observations - s.mean).max() <= 1.0
-    calls = counting_ecf_at(monkeypatch)
-    u = ecf_crossing(s, t, lo, hi)
-    assert calls == []  # the narrow bracket is left to the series alone
+    t, lo, hi = threshold_bracket(s)
+    ecf = cap_spread(s)
+    calls = counting_point_reads(monkeypatch)
+    u = ecf.crossing(t, lo, hi)
+    assert len(calls) <= MAX_POINT_READS
     assert abs(u - bisect_crossing(s, t, lo, hi)) <= 1e-12
     assert lo < u < hi
 
 
 def test_crossing_on_wide_sample_halves_first(monkeypatch):
-    # one far outlier makes (hi - lo) * max|Y_c| ~ 50: the bracket is halved
-    # with direct evaluations before the series takes over
+    # one far outlier stretches the y-grid to ~2e4 points, read in blocks;
+    # the bisection still halves the scan bracket one point read at a time
     y = generate_grouped(Normal(2.0, 1.0), 2000, 5, seed=42).observations
     s = GroupedSample(np.append(y, 5000.0), 5.0)
-    t, lo, hi = scan_bracket(s)
-    assert (hi - lo) * np.abs(s.observations - s.mean).max() > 1.0
-    calls = counting_ecf_at(monkeypatch)
-    u = ecf_crossing(s, t, lo, hi)
-    assert len(calls) >= 5
+    t, lo, hi = threshold_bracket(s)
+    calls = counting_point_reads(monkeypatch)
+    u = cap_spread(s).crossing(t, lo, hi)
+    assert len(calls) <= MAX_POINT_READS
     assert abs(u - bisect_crossing(s, t, lo, hi)) <= 1e-12
 
 
 def test_crossing_ends_when_no_bracket_is_narrow_enough(monkeypatch):
-    # with max|Y_c| ~ 1e17 (a sentinel value in a data file, say) no float
-    # bracket near u ~ 1 has (hi - lo) * max|Y_c| <= 1: the direct bisection
-    # stops at the tolerance instead of halving one ulp forever
+    # a value ~1e17 (a sentinel in a data file, say) lies past the grid
+    # budget and is summed directly; below ~1e-17 its phase makes |phi_hat|
+    # jump at every ulp, and the bisection stops at the tolerance instead of
+    # halving one ulp forever
     y = generate_grouped(Normal(), 1000, 5, seed=1).observations
     s = GroupedSample(np.append(y, 1e17), 5.0)
-    t, lo, hi = scan_bracket(s)
-    calls = counting_ecf_at(monkeypatch)
-    rec = adaptive_cutoff(s)
+    t, lo, hi = threshold_bracket(s)
+    calls = counting_point_reads(monkeypatch)
+    rec = adaptive_cutoff(cap_spread(s))
     assert rec.threshold_hit
-    assert rec.value == bisect_crossing(s, t, lo, hi)
-    assert len(calls) < 50
-
+    assert abs(rec.value - bisect_crossing(s, t, lo, hi)) <= 1e-12
+    assert len(calls) <= MAX_POINT_READS

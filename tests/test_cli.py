@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groupdeconv import bandwidth, cli, default_xgrid, estimate
+from groupdeconv import cli, default_xgrid, estimate
 from groupdeconv.cli import main
 from groupdeconv.experiments import RiskReport, ScenarioGrid
 from groupdeconv.inversion import XGrid, l2_distance
@@ -190,22 +190,14 @@ def test_estimate_oracle_cutoff(tmp_path, normal_sum_file):
 
 
 def test_estimate_oracle_record_describes_the_values_written(
-    tmp_path, normal_sum_file, monkeypatch
+    tmp_path, normal_sum_file, spreads
 ):
-    calls = []
-    evaluate_grid = bandwidth.evaluate_grid
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return evaluate_grid(*args, **kwargs)
-
-    monkeypatch.setattr(bandwidth, "evaluate_grid", counted)
     code = run_cli(
         ["estimate", "--input", normal_sum_file, "--group-size", 5,
          "--cutoff", "oracle", "--law", "normal", "--out", tmp_path / "e"]
     )
     assert code == 0
-    assert len(calls) == 1
+    assert len(spreads) == 1
     payload = json.loads((tmp_path / "e.json").read_text())
     xgrid = XGrid(**payload["xgrid"])
     risk = l2_distance(np.array(payload["values"]), Normal(2.0, 1.0).pdf, xgrid)

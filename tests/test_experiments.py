@@ -212,6 +212,30 @@ def test_mean_cutoff_decreases_with_group_size():
 # ---------------------------------------------------------------------------
 
 
+def test_replication_spreads_the_sample_once(spreads):
+    run_replication(Gamma(6.0, 3.0), 1000, 5, seed=4)
+    assert len(spreads) == 1
+
+
+def test_every_module_is_imported_by_another():
+    # a module no other package module imports is dead code; cli,
+    # __init__ and __main__ are the entry points, and the re-exports of
+    # __init__ do not count as a use
+    package = Path(groupdeconv.__file__).parent
+    imported = {"cli", "__init__", "__main__"}
+    for path in package.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                if node.module:
+                    imported.add(node.module.split(".")[0])
+                else:  # from . import x
+                    imported |= {alias.name for alias in node.names}
+    orphans = [p.stem for p in sorted(package.glob("*.py")) if p.stem not in imported]
+    assert orphans == []
+
+
 def test_no_private_cross_module_imports():
     offenders = []
     for path in sorted(Path(groupdeconv.__file__).parent.glob("*.py")):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from groupdeconv.charfn import CfEvaluation, UGrid, evaluate_grid
+from groupdeconv.charfn import CfEvaluation, UGrid
 from groupdeconv.errors import CutoffExceedsRange, ParameterError
 from groupdeconv.inversion import (
     XGrid,
@@ -15,7 +15,7 @@ from groupdeconv.inversion import (
 )
 from groupdeconv.rootlog import distinguished_root
 from groupdeconv.samples import Gamma, Normal, generate_grouped
-from reference import energy_u, energy_x, phi, root_from_values
+from reference import energy_u, energy_x, evaluate_grid, phi, root_from_values
 
 
 def analytic_root(law, u_max, step, k=1.0):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from groupdeconv.charfn import CfEvaluation, UGrid, evaluate_grid
+from groupdeconv.charfn import CfEvaluation, UGrid
 from groupdeconv.errors import DenominatorTooSmall, ParameterError
 from groupdeconv.rootlog import (
     _centered_psi,
@@ -12,7 +12,7 @@ from groupdeconv.rootlog import (
     feasible_root,
 )
 from groupdeconv.samples import Gamma, GroupedSample, Laplace, Normal, generate_grouped
-from reference import phi
+from reference import evaluate_grid, phi
 
 
 def analytic_eval(law, u_max, step, group_size=1.0):
