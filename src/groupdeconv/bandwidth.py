@@ -22,8 +22,8 @@ import numpy as np
 
 from .charfn import SpreadEcf, UGrid
 from .errors import LevelNotReached, ParameterError
-from .inversion import DensityEstimate, XGrid, invert, invert_prefixes, l2_distance
-from .rootlog import MAX_STEP, RootEstimate, default_step, distinguished_root, feasible_root
+from .inversion import DensityEstimate, XGrid, grid_cutoff, invert, invert_prefixes, l2_distance
+from .rootlog import MAX_STEP, RootEstimate, distinguished_root, feasible_root, root_grid
 from .samples import GroupedSample, TestLaw
 
 __all__ = [
@@ -152,16 +152,14 @@ def oracle_risks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact-density L2 risks at each cutoff, sharing one root estimate.
 
-    Cutoffs snap down to the root's grid and are deduplicated; returns the
-    (snapped cutoffs, risks) pair sorted ascending.
+    Returns (grid cutoffs, risks), one entry per entry of ``ms`` in the
+    order given: ``grid_cutoff(root, m)`` and the risk of the inversion at
+    m.  Cutoffs that share a grid point get bitwise-equal risks.
     """
-    step = root.grid.step
-    ks = sorted({root.grid.index_of(m) for m in ms})
-    ks = [k for k in ks if k >= 1]
-    if not ks:
-        raise ParameterError("no usable cutoff candidates on the root grid")
-    snapped = np.array([k * step for k in ks])
-    return snapped, l2_distance(invert_prefixes(root, snapped, xgrid), density, xgrid)
+    if len(ms) == 0:
+        raise ParameterError("no cutoff candidates to score")
+    cutoffs = np.array([grid_cutoff(root, m) for m in ms])
+    return cutoffs, l2_distance(invert_prefixes(root, ms, xgrid), density, xgrid)
 
 
 def estimate(
@@ -171,29 +169,29 @@ def estimate(
     distinguished-log K-th root on [0, m], inverted at the cutoff m.
 
     ``cutoff`` is "adaptive" (the threshold rule at ``eta``), a fixed m > 0,
-    or "oracle": the argmin of the ``oracle_risks`` against ``law``'s density
-    over ``default_oracle_grid`` up to the cap n^{1/K} (the first minimum).
-    The oracle scores and inverts one feasible root at ``default_step(cap)``,
+    or "oracle": the grid cutoff at the first argmin of the ``oracle_risks``
+    against ``law``'s density over ``default_oracle_grid`` up to the cap
+    n^{1/K}; its record counts the distinct grid cutoffs (``candidates``).
+    The oracle scores and inverts one feasible root on ``root_grid(cap)``,
     and records where |phi_hat| hit the integration floor (``truncated_at``);
-    the other rules invert a root at ``default_step(m)``.  The adaptive and
-    oracle rules spread the sample up to the cap plus MAX_STEP, a fixed m up
-    to m + default_step(m).
+    the other rules invert a root on ``root_grid(m)``.  The adaptive and
+    oracle rules spread the sample up to the cap plus MAX_STEP, a fixed m
+    as far as ``root_grid(m)``.
     """
     check_eta(eta)
     if cutoff == "oracle":
         if law is None:
             raise ParameterError("cutoff='oracle' needs the true law (law=)")
         cap = cutoff_cap(sample.n, sample.group_size)
-        step = default_step(cap)
-        ecf = cap_spread(sample)
-        root, violation = feasible_root(ecf.read(UGrid(cap + step, step)))
+        grid = root_grid(cap)
+        root, violation = feasible_root(cap_spread(sample).read(grid))
         candidates = default_oracle_grid(min(cap, root.u_limit))
-        snapped, risks = oracle_risks(root, law.pdf, candidates, xgrid)
-        best = int(np.argmin(risks))  # first minimum = smallest m on ties
-        params = {"risk": float(risks[best]), "candidates": int(snapped.size)}
+        cutoffs, risks = oracle_risks(root, law.pdf, candidates, xgrid)
+        best = int(np.argmin(risks))  # candidates ascend: smallest m on ties
+        params = {"risk": float(risks[best]), "candidates": np.unique(cutoffs).size}
         if violation is not None:
             params["truncated_at"] = violation
-        record = CutoffRecord(float(snapped[best]), "oracle", True, step, params)
+        record = CutoffRecord(float(cutoffs[best]), "oracle", True, grid.step, params)
         m = record.value
     else:
         if cutoff == "adaptive":
@@ -210,9 +208,8 @@ def estimate(
                 ) from None
             if not (math.isfinite(m) and m > 0):
                 raise ParameterError(f"fixed cutoff must be > 0 (got {m})")
-            ecf = SpreadEcf(sample, m + default_step(m))
-        step = default_step(m)
-        root = distinguished_root(ecf.read(UGrid(m + step, step)), m)
+            ecf = SpreadEcf(sample, root_grid(m).u_max)
+        root = distinguished_root(ecf.read(root_grid(m)), m)
     rule = record.as_dict() if record is not None else {"rule": "fixed"}
     return replace(invert(root, m, xgrid), cutoff_rule=rule, provenance={"n": sample.n})
 

@@ -22,7 +22,10 @@ from ._fourier import HALF_WIDTH, GaussianSpread, grid_spacing
 from .errors import ParameterError
 from .samples import GroupedSample
 
-__all__ = ["UGrid", "CfEvaluation", "SpreadEcf"]
+__all__ = ["GRID_SLACK", "UGrid", "CfEvaluation", "SpreadEcf"]
+
+# The fraction of a grid step (of u_max for a spread's reach) that absorbs float edges.
+GRID_SLACK = 1e-9
 
 # The crossing's bisection stops once its bracket is this narrow.
 CROSSING_XTOL = 1e-13
@@ -53,7 +56,7 @@ class UGrid:
     @property
     def n_half(self) -> int:
         # number of positive grid points; tolerant of float division edges
-        return int(np.floor(self.u_max / self.step + 1e-9))
+        return int(np.floor(self.u_max / self.step + GRID_SLACK))
 
     @property
     def points(self) -> np.ndarray:
@@ -62,7 +65,7 @@ class UGrid:
 
     def index_of(self, u: float) -> int:
         """Largest grid index k with k*step <= u (clipped to the grid)."""
-        return max(0, min(self.n_half, int(np.floor(u / self.step + 1e-9))))
+        return max(0, min(self.n_half, int(np.floor(u / self.step + GRID_SLACK))))
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ class SpreadEcf:
         return self._reads[grid]
 
     def _read(self, grid: UGrid) -> CfEvaluation:
-        if grid.u_max > self.u_max * (1 + 1e-9):
+        if grid.u_max > self.u_max * (1 + GRID_SLACK):
             raise ParameterError(
                 f"grid reaches u={grid.u_max:g}, past the spread's u_max={self.u_max:g}"
             )

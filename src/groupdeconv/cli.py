@@ -118,7 +118,7 @@ def _int_list(text):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-# config key -> (the ScenarioGrid field it sets, parser)
+# config key, also the dest of simulate's flag -> (the ScenarioGrid field it sets, parser)
 _CONFIG_KEYS = {
     "laws": ("laws", lambda text: text.split(",")),
     "ns": ("ns", _int_list),
@@ -163,15 +163,9 @@ def _parse_config_file(path) -> dict:
 def cmd_simulate(args) -> int:
     # a flag overrides the config file; what neither sets keeps ScenarioGrid's default
     fields = _parse_config_file(args.config) if args.config else {}
-    flags = {
-        "laws": args.law,
-        "ns": args.n,
-        "group_sizes": args.group_size,
-        "replications": args.reps,
-        "eta": args.eta,
-        "master_seed": args.seed,
-    }
-    fields |= {name: value for name, value in flags.items() if value is not None}
+    for key, (field, _parse) in _CONFIG_KEYS.items():
+        if getattr(args, key) is not None:
+            fields[field] = getattr(args, key)
     if "laws" in fields:
         fields["laws"] = tuple(law_from_name(name) for name in fields["laws"])
     grid = ScenarioGrid(**fields)
@@ -279,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(func=cmd_estimate)
 
     sim = sub.add_parser("simulate", help="run Monte-Carlo risk tables")
-    sim.add_argument("--law", action="append", help="law name; repeatable (default: all four)")
-    sim.add_argument("--n", action="append", type=int, help="sample size; repeatable")
-    sim.add_argument("--group-size", action="append", type=int, help="K; repeatable")
+    sim.add_argument("--law", action="append", dest="laws", metavar="LAW", help="law name; repeatable (default: all four)")
+    sim.add_argument("--n", action="append", type=int, dest="ns", metavar="N", help="sample size; repeatable")
+    sim.add_argument("--group-size", action="append", type=int, dest="group_sizes", metavar="GROUP_SIZE", help="K; repeatable")
     sim.add_argument("--reps", type=int, default=None, help=f"replications per cell (default {ScenarioGrid.replications})")
     sim.add_argument("--eta", type=_finite_float, default=None)
     sim.add_argument("--seed", type=int, default=None, help="master seed")

@@ -60,6 +60,9 @@ class ScenarioGrid:
     master_seed: int = 20130528
 
     def __post_init__(self):
+        for name in ("laws", "ns", "group_sizes"):
+            if len(getattr(self, name)) == 0:
+                raise ParameterError(f"{name} must not be empty")
         if self.replications < 1:
             raise ParameterError(f"replications must be >= 1 (got {self.replications})")
         if any(n < 2 for n in self.ns):
@@ -106,15 +109,15 @@ def run_replication(
     ``law_xgrid(law)``).
 
     One spread of the sample serves the threshold scan and the root, which
-    is read on the scan grid, so the root's step is MAX_STEP.
+    is read on the scan grid, so the root's step is MAX_STEP.  The adaptive
+    risk is the last ``oracle_risks`` entry: m_hat is scored after the grid.
     """
     sample = generate_grouped(law, n, group_size, seed)
     ecf = cap_spread(sample)
     record = adaptive_cutoff(ecf, eta)
     m_hat = record.value
     ev = ecf.read(scan_grid(sample))
-    step = ev.grid.step
-    if m_hat < step:
+    if m_hat < ev.grid.step:
         raise GroupDeconvError(
             f"adaptive cutoff {m_hat:.3g} is below one grid step; "
             f"the sample is too degenerate to invert"
@@ -122,17 +125,11 @@ def run_replication(
 
     root, _violation = feasible_root(ev)
     cap = cutoff_cap(n, sample.group_size)
-    candidates = default_oracle_grid(min(cap, root.u_limit))
-    ms, risks = oracle_risks(root, law.pdf, np.append(candidates, m_hat), law_xgrid(law))
-
-    k_hat = max(1, root.grid.index_of(min(m_hat, root.u_limit)))
-    pos = int(np.searchsorted(ms, k_hat * step))
-    pos = min(pos, ms.size - 1)
-    risk_adaptive = float(risks[pos])
-
+    candidates = np.append(default_oracle_grid(min(cap, root.u_limit)), min(m_hat, root.u_limit))
+    ms, risks = oracle_risks(root, law.pdf, candidates, law_xgrid(law))
     best = int(np.argmin(risks))
     return ReplicationResult(
-        risk_adaptive=risk_adaptive,
+        risk_adaptive=float(risks[-1]),
         risk_oracle=float(risks[best]),
         m_adaptive=float(m_hat),
         m_oracle=float(ms[best]),
@@ -210,24 +207,15 @@ class RiskReport:
 
     def to_text(self) -> str:
         """Aligned table: one block of rows per (n, K), law columns."""
-        laws = []
-        for r in self.rows:
-            if r.law not in laws:
-                laws.append(r.law)
-        pairs = []
-        for r in self.rows:
-            key = (r.n, r.group_size)
-            if key not in pairs:
-                pairs.append(key)
+        laws = list(dict.fromkeys(r.law for r in self.rows))
+        pairs = list(dict.fromkeys((r.n, r.group_size) for r in self.rows))
         lines = []
         header = f"{'n':>6} {'K':>4}"
         for law in laws:
             header += f" | {law + ' r_or*':>18} {law + ' r':>18}"
         lines.append(header)
         lines.append("-" * len(header))
-        cell = {}
-        for r in self.rows:
-            cell[(r.n, r.group_size, r.law, r.method)] = r
+        cell = {(r.n, r.group_size, r.law, r.method): r for r in self.rows}
         for n, k in pairs:
             line = f"{n:>6} {k:>4}"
             for law in laws:

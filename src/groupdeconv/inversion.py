@@ -6,10 +6,11 @@ The density estimate with spectral cutoff m is
            = (1/pi) Re integral_0^m e^{-iux} phi_hat_X(u) du,
 
 real-valued by conjugate symmetry.  The u-integral is a composite trapezoid
-on the root's grid restricted to [0, m] (the cutoff snaps down to the last
-grid point <= m).  On the uniform x-grid the quadrature sums for every
-x-point, and for a batch of cutoffs, are one chirp-z transform evaluated
-by FFT; each x-point's value is still the same u-quadrature.
+on the root's grid restricted to [0, m]: the cutoff snaps down to the last
+grid point <= m, ``grid_cutoff``, the package's one cutoff-to-grid mapping.
+On the uniform x-grid the quadrature sums for every x-point, and for a
+batch of cutoffs, are one chirp-z transform evaluated by FFT; each
+x-point's value is still the same u-quadrature.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ._fourier import chirp_z
+from .charfn import GRID_SLACK
 from .errors import CutoffExceedsRange, ParameterError
 from .rootlog import RootEstimate
 from .samples import GroupedSample
@@ -32,6 +34,7 @@ __all__ = [
     "DensityEstimate",
     "centred_xgrid",
     "default_xgrid",
+    "grid_cutoff",
     "invert",
     "invert_prefixes",
     "l2_distance",
@@ -140,12 +143,17 @@ class DensityEstimate:
 def _cutoff_index(root: RootEstimate, m: float) -> int:
     if not (m > 0):
         raise ParameterError(f"cutoff m must be > 0 (got {m})")
-    if m > root.u_limit + root.grid.step * (1 + 1e-9):
+    if m > root.u_limit + root.grid.step * (1 + GRID_SLACK):
         raise CutoffExceedsRange(
             f"cutoff m={m:.6g} exceeds the root estimate's range "
             f"[0, {root.u_limit:.6g}]"
         )
     return root.grid.index_of(m)
+
+
+def grid_cutoff(root: RootEstimate, m: float) -> float:
+    """The cutoff the inversion at m integrates to: the root's last grid point <= m."""
+    return _cutoff_index(root, m) * root.grid.step
 
 
 def invert(root: RootEstimate, m: float, xgrid: XGrid) -> DensityEstimate:

@@ -24,13 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import CfEvaluation, UGrid
+from .charfn import GRID_SLACK, CfEvaluation, UGrid
 from .errors import DenominatorTooSmall, ParameterError
 
 __all__ = [
     "MAX_STEP",
     "RootEstimate",
     "default_step",
+    "root_grid",
     "denominator_floor",
     "distinguished_root",
     "feasible_root",
@@ -51,6 +52,12 @@ MAX_STEP = 0.01
 def default_step(u_range: float) -> float:
     """Default grid step for a requested frequency range."""
     return min(MAX_STEP, u_range / 4096.0)
+
+
+def root_grid(m: float) -> UGrid:
+    """The grid a root for cutoff m is read on: step default_step(m), to m + step."""
+    step = default_step(m)
+    return UGrid(m + step, step)
 
 
 def denominator_floor(n: int | None) -> float:
@@ -89,7 +96,7 @@ class RootEstimate:
 def _require_in_range(cf: CfEvaluation, u_limit: float) -> int:
     if u_limit < 0:
         raise ParameterError(f"u_limit must be >= 0 (got {u_limit})")
-    if u_limit > cf.grid.u_max + cf.grid.step * 1e-9:
+    if u_limit > cf.grid.u_max + cf.grid.step * GRID_SLACK:
         raise ParameterError(
             f"u_limit {u_limit} exceeds the evaluated range {cf.grid.u_max}"
         )

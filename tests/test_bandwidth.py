@@ -21,7 +21,7 @@ from groupdeconv.bandwidth import (
 )
 from groupdeconv.charfn import UGrid
 from groupdeconv.errors import LevelNotReached, ParameterError
-from groupdeconv.inversion import XGrid, default_xgrid, invert, l2_distance
+from groupdeconv.inversion import XGrid, default_xgrid, grid_cutoff, invert, l2_distance
 from groupdeconv.rootlog import default_step, feasible_root
 from groupdeconv.samples import (
     Gamma,
@@ -225,9 +225,26 @@ def test_oracle_ties_break_toward_smaller_m():
     grid = UGrid(2.0, 0.01)
     root = root_from_values(grid, law.cf(grid.points), 1.0)
     xg = XGrid(-4.0, 8.0, 129)
-    # duplicate candidates snap to the same grid index and deduplicate
-    ms, risks = oracle_risks(root, law.pdf, [1.0, 1.0005, 1.5], xg)
-    assert ms.size == 2
+    # 1.5 and 1.5005 share a grid point, where the noiseless risk is least
+    ms, risks = oracle_risks(root, law.pdf, [1.0, 1.5, 1.5005], xg)
+    assert ms[1] == ms[2] == pytest.approx(1.5)
+    assert risks[1] == risks[2]
+    assert np.argmin(risks) == 1
+
+
+def test_oracle_risks_one_per_candidate_in_the_order_given():
+    law = Laplace(0.5, 1.0 / 3.0)
+    s = generate_grouped(law, 1000, 5, seed=17)
+    root = sample_root(s, 3.0, 0.01)
+    xg = default_xgrid(s)
+    ms = [2.2, 0.4, 3.0, 1.234, 0.4, 0.9]
+    cutoffs, risks = oracle_risks(root, law.pdf, ms, xg)
+    assert cutoffs.tolist() == [grid_cutoff(root, m) for m in ms]
+    assert cutoffs.tolist() == pytest.approx([2.2, 0.4, 3.0, 1.23, 0.4, 0.9])
+    for m, risk in zip(ms, risks):
+        alone = l2_distance(invert(root, m, xg).values, law.pdf, xg)
+        assert risk == pytest.approx(alone, rel=1e-12, abs=1e-15)
+    assert risks[1] == risks[4]
 
 
 def test_oracle_beats_or_matches_adaptive_when_injected():
@@ -338,3 +355,13 @@ def test_estimate_rejects_an_unknown_cutoff(cutoff):
     s = generate_grouped(Normal(), 500, 5, seed=2)
     with pytest.raises(ParameterError, match="cutoff must be"):
         estimate(s, default_xgrid(s), cutoff)
+
+
+def test_estimate_oracle_counts_distinct_grid_cutoffs():
+    # |phi_hat(u)| = |cos(pi u / 2)| vanishes at u = 1, so the root stops at
+    # 0.99 and the 60 candidates below it share 54 points of its 0.01 grid
+    s = GroupedSample(np.tile([0.0, math.pi], 1000), 2)
+    est = estimate(s, XGrid(-3.0, 5.0, 256), "oracle", law=Normal(0.8, 1.0))
+    rule = est.cutoff_rule
+    assert (rule["value"], rule["candidates"], rule["truncated_at"]) == (0.99, 54, 1.0)
+    assert est.cutoff_m == 0.99

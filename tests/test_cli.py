@@ -338,6 +338,16 @@ def test_simulate_config_rejects_non_finite_eta(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("line, named", [("ns =", "ns"), ("group_sizes = ,", "group_sizes")])
+def test_simulate_config_rejects_an_empty_axis(tmp_path, capsys, line, named):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"laws = normal\n{line}\n")
+    assert run_cli(["simulate", "--config", cfg, "--reps", 1, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert f"{named} must not be empty" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_all_failed_exit_code(tmp_path):
     code = run_cli(
         ["simulate", "--law", "normal", "--n", 2, "--group-size", 1,

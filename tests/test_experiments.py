@@ -14,8 +14,11 @@ from groupdeconv.experiments import (
     run_grid,
     run_replication,
 )
+from groupdeconv.bandwidth import cap_spread, scan_grid
 from groupdeconv.errors import GroupDeconvError, ParameterError
-from groupdeconv.samples import Gamma, Laplace, Normal, benchmark_laws
+from groupdeconv.inversion import invert, l2_distance
+from groupdeconv.rootlog import feasible_root
+from groupdeconv.samples import Gamma, Laplace, Normal, benchmark_laws, generate_grouped
 
 
 def tiny_grid(**kw):
@@ -48,6 +51,17 @@ def test_replication_oracle_dominates_adaptive():
     for seed in range(20):
         r = run_replication(Laplace(0.5, 1 / 3), 500, 5, seed=(3, seed))
         assert r.risk_oracle <= r.risk_adaptive + 1e-6
+
+
+def test_replication_adaptive_risk_is_the_inversion_at_m_hat():
+    law = Gamma(6.0, 3.0)
+    for seed in range(3):
+        r = run_replication(law, 1000, 5, seed=(5, seed))
+        ecf = cap_spread(generate_grouped(law, 1000, 5, (5, seed)))
+        root, _violation = feasible_root(ecf.read(scan_grid(ecf)))
+        xg = law_xgrid(law)
+        risk = l2_distance(invert(root, min(r.m_adaptive, root.u_limit), xg).values, law.pdf, xg)
+        assert r.risk_adaptive == pytest.approx(risk, rel=1e-12)
 
 
 def test_replication_risks_are_sane():
@@ -120,6 +134,9 @@ def test_scenario_grid_validation():
         tiny_grid(ns=(1,))
     with pytest.raises(GroupDeconvError):
         tiny_grid(group_sizes=(0,))
+    for name in ("laws", "ns", "group_sizes"):
+        with pytest.raises(ParameterError, match=f"{name} must not be empty"):
+            tiny_grid(**{name: ()})
 
 
 def test_benchmark_grid_is_full_study():
@@ -247,6 +264,14 @@ def test_no_private_cross_module_imports():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_only_inversion_maps_a_cutoff_to_the_grid():
+    # charfn defines index_of, rootlog reads the root's own range with it,
+    # and inversion.grid_cutoff is the one cutoff-to-grid mapping
+    package = Path(groupdeconv.__file__).parent
+    callers = {p.stem for p in package.glob("*.py") if ".index_of(" in p.read_text()}
+    assert callers == {"rootlog", "inversion"}
 
 
 def _runs_on_import(node):
