@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .charfn import SpreadEcf, UGrid
+from .charfn import SpreadEcf, UGrid, bisect_crossing
 from .errors import LevelNotReached, ParameterError
 from .inversion import DensityEstimate, XGrid, grid_cutoff, invert, invert_prefixes, l2_distance
 from .rootlog import MAX_STEP, RootEstimate, distinguished_root, feasible_root, root_grid
@@ -269,6 +269,4 @@ def diagnostic_threshold_u(
                 f"|phi(u)|^{group_size:g} stays above {level:.3e} "
                 f"up to u = {DIAGNOSTIC_U_MAX:g}"
             )
-    from scipy.optimize import brentq  # only diagnose needs scipy's root finder
-
-    return brentq(lambda u: modulus_pow_k(u) - level, lo, hi, xtol=1e-12)
+    return bisect_crossing(modulus_pow_k, level, lo, hi)

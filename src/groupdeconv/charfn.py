@@ -22,12 +22,12 @@ from ._fourier import HALF_WIDTH, GaussianSpread, grid_spacing
 from .errors import ParameterError
 from .samples import GroupedSample
 
-__all__ = ["GRID_SLACK", "UGrid", "CfEvaluation", "SpreadEcf"]
+__all__ = ["GRID_SLACK", "UGrid", "CfEvaluation", "SpreadEcf", "bisect_crossing"]
 
 # The fraction of a grid step (of u_max for a spread's reach) that absorbs float edges.
 GRID_SLACK = 1e-9
 
-# The crossing's bisection stops once its bracket is this narrow.
+# A level crossing's bisection stops once its bracket is this narrow.
 CROSSING_XTOL = 1e-13
 # The most y-grid points one spread may hold (see SpreadEcf).
 GRID_BUDGET = 1 << 16
@@ -184,19 +184,22 @@ class SpreadEcf:
         return abs(total) / self.n
 
     def crossing(self, level: float, lo: float, hi: float) -> float:
-        """A u in [lo, hi] where |phi_hat(u)| falls to ``level``, to CROSSING_XTOL.
+        """A u in [lo, hi] where |phi_hat(u)| falls to ``level`` (bisects ``modulus``)."""
+        return bisect_crossing(self.modulus, level, lo, hi)
 
-        Needs |phi_hat(lo)| > level >= |phi_hat(hi)|; bisects on ``modulus``
-        until the bracket is within CROSSING_XTOL or its midpoint equals an
-        end.
-        """
-        lo, hi = float(lo), float(hi)
-        while True:
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= CROSSING_XTOL or not lo < mid < hi:
-                return mid
-            if self.modulus(mid) > level:
-                lo = mid
-            else:
-                hi = mid
 
+def bisect_crossing(f, level: float, lo: float, hi: float) -> float:
+    """A u in [lo, hi] where ``f`` falls to ``level``, to CROSSING_XTOL.
+
+    Needs f(lo) > level >= f(hi); bisects until the bracket is within
+    CROSSING_XTOL or its midpoint equals an end.
+    """
+    lo, hi = float(lo), float(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= CROSSING_XTOL or not lo < mid < hi:
+            return mid
+        if f(mid) > level:
+            lo = mid
+        else:
+            hi = mid

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -63,14 +64,13 @@ class ScenarioGrid:
         for name in ("laws", "ns", "group_sizes"):
             if len(getattr(self, name)) == 0:
                 raise ParameterError(f"{name} must not be empty")
-        if self.replications < 1:
-            raise ParameterError(f"replications must be >= 1 (got {self.replications})")
-        if any(n < 2 for n in self.ns):
-            raise ParameterError(f"every n must be >= 2 (got {list(self.ns)})")
-        if any(k < 1 for k in self.group_sizes):
-            raise ParameterError(
-                f"every group size must be >= 1 (got {list(self.group_sizes)})"
-            )
+        for name, values, least in (
+            ("replications", [self.replications], 1),
+            ("ns", self.ns, 2),
+            ("group_sizes", self.group_sizes, 1),
+        ):
+            if not all(isinstance(v, numbers.Integral) and v >= least for v in values):
+                raise ParameterError(f"{name} must hold integers >= {least} (got {list(values)})")
         check_eta(self.eta)
 
     @property
@@ -155,13 +155,14 @@ def resolve_workers() -> int:
     return 1
 
 
-def _run_cell_block(args):
-    """Worker entry: one block of replications for one cell."""
-    law, n, k, eta, master_seed, cell_idx, rep_indices = args
+def _run_cell_block(task):
+    """Worker entry: one block of replications of one cell of the grid."""
+    grid, cell_idx, reps = task
+    law, n, k = grid.cells[cell_idx]
     out = []
-    for rep in rep_indices:
+    for rep in reps:
         try:
-            out.append(run_replication(law, n, k, eta, seed=(master_seed, cell_idx, rep)))
+            out.append(run_replication(law, n, k, grid.eta, seed=(grid.master_seed, cell_idx, rep)))
         except GroupDeconvError as exc:
             out.append(f"{type(exc).__name__}: {exc} [law={law.label} n={n} K={k} rep={rep}]")
     return out
@@ -183,9 +184,7 @@ class RiskRow:
 @dataclass
 class RiskReport:
     rows: list
-    eta: float
-    master_seed: int
-    requested_replications: int
+    grid: ScenarioGrid
     failures: list = field(default_factory=list)
 
     def to_csv(self, path=None) -> str:
@@ -233,8 +232,8 @@ class RiskReport:
             lines.append(line)
         lines.append("")
         lines.append(
-            f"eta={self.eta}  master_seed={self.master_seed}  "
-            f"replications={self.requested_replications}"
+            f"eta={self.grid.eta}  master_seed={self.grid.master_seed}  "
+            f"replications={self.grid.replications}"
         )
         return "\n".join(lines) + "\n"
 
@@ -242,52 +241,35 @@ class RiskReport:
 def run_grid(grid: ScenarioGrid) -> RiskReport:
     """Every cell of the grid; deterministic for a fixed master seed.
 
-    Replications are independent tasks with derived seeds; results reduce
-    in (cell, replication) order, so the report is identical for any worker
-    count.  Cells whose replications all fail become NaN rows rather than
-    silent omissions.
+    Replications run in blocks of at most BLOCK_SIZE of one cell, with
+    derived seeds; the blocks' results are flattened in (cell, replication)
+    order, so each cell is one slice of ``grid.replications`` and the
+    report is identical for any worker count.  Cells whose replications
+    all fail become NaN rows rather than silent omissions.
     """
-    cells = grid.cells
-    tasks = []
-    for cell_idx, (law, n, k) in enumerate(cells):
-        reps = list(range(grid.replications))
-        for start in range(0, len(reps), BLOCK_SIZE):
-            tasks.append(
-                (
-                    law,
-                    n,
-                    k,
-                    grid.eta,
-                    grid.master_seed,
-                    cell_idx,
-                    reps[start : start + BLOCK_SIZE],
-                )
-            )
-
+    cells, reps = grid.cells, range(grid.replications)
+    tasks = [
+        (grid, cell_idx, reps[start : start + BLOCK_SIZE])
+        for cell_idx in range(len(cells))
+        for start in range(0, len(reps), BLOCK_SIZE)
+    ]
     # more processes than tasks or CPUs would only wait
     n_workers = min(resolve_workers(), len(tasks), os.cpu_count() or 1)
     if n_workers == 1:
-        block_results = [_run_cell_block(t) for t in tasks]
+        blocks = map(_run_cell_block, tasks)
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            block_results = list(pool.map(_run_cell_block, tasks, chunksize=1))
+            blocks = list(pool.map(_run_cell_block, tasks, chunksize=1))
+    results = [r for block in blocks for r in block]
 
-    per_cell: dict[int, list] = {i: [] for i in range(len(cells))}
-    for task, block in zip(tasks, block_results):
-        per_cell[task[5]].extend(block)
-
-    rows = []
-    all_failures = []
+    rows, failures = [], []
     for cell_idx, (law, n, k) in enumerate(cells):
-        results = per_cell[cell_idx]
-        ok = [r for r in results if isinstance(r, ReplicationResult)]
-        failed = [r for r in results if not isinstance(r, ReplicationResult)]
-        all_failures.extend(failed)
+        cell = results[cell_idx * len(reps) : (cell_idx + 1) * len(reps)]
+        ok = [r for r in cell if isinstance(r, ReplicationResult)]
+        failures += [r for r in cell if not isinstance(r, ReplicationResult)]
         for method in ("oracle", "adaptive"):
             if ok:
-                risks = np.array(
-                    [getattr(r, f"risk_{method}") for r in ok]
-                )
+                risks = np.array([getattr(r, f"risk_{method}") for r in ok])
                 cuts = np.array([getattr(r, f"m_{method}") for r in ok])
                 mean_risk = float(risks.mean())
                 std_error = (
@@ -308,13 +290,7 @@ def run_grid(grid: ScenarioGrid) -> RiskReport:
                     std_error=std_error,
                     replications=len(ok),
                     mean_cutoff=mean_cutoff,
-                    failures=len(failed),
+                    failures=len(cell) - len(ok),
                 )
             )
-    return RiskReport(
-        rows=rows,
-        eta=grid.eta,
-        master_seed=grid.master_seed,
-        requested_replications=grid.replications,
-        failures=all_failures,
-    )
+    return RiskReport(rows, grid, failures)

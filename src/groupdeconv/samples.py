@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -97,11 +97,21 @@ class GroupedSample:
 class TestLaw:
     """Interface for an analytic law: sampler, density, characteristic function.
 
-    Concrete laws expose ``mean`` and ``variance`` (exact moments), ``pdf``,
-    ``cf`` and its derivative ``cf_prime``, and ``sample(rng, size)``.
+    Concrete laws are frozen dataclasses whose fields are the parameters:
+    each must be finite, and each but ``mean`` (a scale, shape, rate or
+    variance) must be > 0.  They expose ``mean`` and ``variance`` (exact
+    moments), ``pdf``, ``cf`` and its derivative ``cf_prime``, and
+    ``sample(rng, size)``.
     """
 
     name: str = "law"
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            rule = "finite" if f.name == "mean" else "finite and > 0"
+            if not (math.isfinite(value) and (f.name == "mean" or value > 0)):
+                raise ParameterError(f"{f.name} must be {rule} (got {value})")
 
     def pdf(self, x):
         raise NotImplementedError
@@ -120,7 +130,8 @@ class TestLaw:
 
     @property
     def label(self) -> str:
-        return self.name
+        """``name(p1,p2)``: the parameters in field order, each ``:g``."""
+        return f"{self.name}({','.join(f'{getattr(self, f.name):g}' for f in fields(self))})"
 
 
 @dataclass(frozen=True)
@@ -128,14 +139,6 @@ class Normal(TestLaw):
     mean: float = 2.0
     variance: float = 1.0
     name = "normal"
-
-    def __post_init__(self):
-        if self.variance <= 0:
-            raise ParameterError(f"variance must be > 0 (got {self.variance})")
-
-    @property
-    def label(self):
-        return f"normal({self.mean:g},{self.variance:g})"
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -167,10 +170,6 @@ class Gumbel(TestLaw):
     scale: float = 1.0
     name = "gumbel"
 
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ParameterError(f"scale must be > 0 (got {self.scale})")
-
     @property
     def location(self) -> float:
         return self.mean - np.euler_gamma * self.scale
@@ -178,10 +177,6 @@ class Gumbel(TestLaw):
     @property
     def variance(self) -> float:
         return math.pi**2 / 6.0 * self.scale**2
-
-    @property
-    def label(self):
-        return f"gumbel({self.mean:g},{self.scale:g})"
 
     def pdf(self, x):
         z = (np.asarray(x, dtype=float) - self.location) / self.scale
@@ -213,12 +208,6 @@ class Gamma(TestLaw):
     rate: float = 3.0
     name = "gamma"
 
-    def __post_init__(self):
-        if self.shape <= 0 or self.rate <= 0:
-            raise ParameterError(
-                f"shape and rate must be > 0 (got {self.shape}, {self.rate})"
-            )
-
     @property
     def mean(self) -> float:
         return self.shape / self.rate
@@ -226,10 +215,6 @@ class Gamma(TestLaw):
     @property
     def variance(self) -> float:
         return self.shape / self.rate**2
-
-    @property
-    def label(self):
-        return f"gamma({self.shape:g},{self.rate:g})"
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -267,17 +252,9 @@ class Laplace(TestLaw):
     scale: float = 1.0 / 3.0
     name = "laplace"
 
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ParameterError(f"scale must be > 0 (got {self.scale})")
-
     @property
     def variance(self) -> float:
         return 2.0 * self.scale**2
-
-    @property
-    def label(self):
-        return f"laplace({self.mean:g},{self.scale:g})"
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

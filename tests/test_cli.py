@@ -407,7 +407,7 @@ def test_simulate_passes_only_the_values_set(tmp_path, monkeypatch, flags, chang
 
     def record(grid):
         grids.append(grid)
-        return RiskReport([], grid.eta, grid.master_seed, grid.replications)
+        return RiskReport([], grid)
 
     monkeypatch.setattr(cli, "run_grid", record)
     assert run_cli(["simulate", *flags, "--out", tmp_path / "r"]) == 4
@@ -513,7 +513,7 @@ def test_bad_float_flag_exits_2_naming_it(tmp_path, normal_sum_file, capsys, arg
 
 
 # ---------------------------------------------------------------------------
-# imports: estimate and simulate run on numpy alone
+# imports: estimate, simulate and diagnose of a law with a numpy cf run on numpy alone
 # ---------------------------------------------------------------------------
 
 _NO_SCIPY_SCRIPT = """
@@ -529,6 +529,7 @@ codes = [
     main(["simulate", "--law", "normal", "--law", "gumbel", "--law", "gamma",
           "--law", "laplace", "--n", "300", "--group-size", "3", "--reps", "2",
           "--seed", "3", "--out", "risks"]),
+    main(["diagnose", "--law", "laplace", "--n", "1000", "--group-size", "5", "--out", "diag"]),
 ]
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(codes, loaded)
@@ -544,7 +545,7 @@ def test_estimate_and_simulate_load_no_scipy(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
     # the exact Gumbel cf, which diagnose needs, still loads scipy on demand
     assert run_cli(
         ["diagnose", "--law", "gumbel", "--n", 1000, "--group-size", 5,

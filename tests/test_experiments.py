@@ -137,6 +137,9 @@ def test_scenario_grid_validation():
     for name in ("laws", "ns", "group_sizes"):
         with pytest.raises(ParameterError, match=f"{name} must not be empty"):
             tiny_grid(**{name: ()})
+    for name, value in (("replications", 2.5), ("ns", (1000.5,)), ("group_sizes", (2.5,))):
+        with pytest.raises(ParameterError, match=f"{name} must hold integers"):
+            tiny_grid(**{name: value})
 
 
 def test_benchmark_grid_is_full_study():
@@ -171,7 +174,7 @@ def test_resolve_workers_env(monkeypatch):
 
 @pytest.mark.parametrize(
     "cpus,block_size,expected",
-    [(3, 1, 3), (64, 1, 6), (64, 3, 2), (None, 1, None)],
+    [(3, 1, 3), (64, 1, 6), (64, 3, 2), (64, 2, 4), (None, 1, None)],
 )
 def test_run_grid_clamps_workers_to_tasks_and_cpus(
     monkeypatch, cpus, block_size, expected
@@ -282,21 +285,41 @@ def _runs_on_import(node):
             yield from _runs_on_import(child)
 
 
+def _scipy_names(node):
+    """The scipy modules an import statement names; [] for any other node."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return []
+    return [name for name in names if name == "scipy" or name.startswith("scipy.")]
+
+
 def test_no_module_level_scipy_import():
     # estimate and simulate import numpy only; scipy (≈0.5 s to import) is
     # loaded inside the few functions that need it
     offenders = []
     for path in sorted(Path(groupdeconv.__file__).parent.glob("*.py")):
         for node in _runs_on_import(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            offenders += [
-                f"{path.name}:{node.lineno}: {name}"
-                for name in names
-                if name == "scipy" or name.startswith("scipy.")
-            ]
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in _scipy_names(node)]
     assert offenders == []
+
+
+def _scipy_importers(node, scope):
+    """The qualified name of the class or function around each scipy import."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}"
+        if _scipy_names(child):
+            yield inner
+        yield from _scipy_importers(child, inner)
+
+
+def test_scipy_is_imported_only_by_the_exact_gumbel_cf():
+    # the complex gamma and digamma of Gumbel's cf are the only scipy use
+    importers = []
+    for path in sorted(Path(groupdeconv.__file__).parent.glob("*.py")):
+        importers += _scipy_importers(ast.parse(path.read_text()), path.stem)
+    assert importers == ["samples.Gumbel.cf", "samples.Gumbel.cf_prime"]

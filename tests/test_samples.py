@@ -203,6 +203,22 @@ def test_invalid_law_parameters():
         Gamma(-6.0, 3.0)
     with pytest.raises(ParameterError):
         Laplace(0.0, 0.0)
+    nan, inf = float("nan"), float("inf")
+    for law, name, value in [
+        (Normal, "variance", nan),
+        (Normal, "mean", inf),
+        (Gumbel, "scale", nan),
+        (Gamma, "shape", nan),
+        (Gamma, "rate", inf),
+        (Laplace, "scale", nan),
+    ]:
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            law(**{name: value})
+
+
+def test_law_labels():
+    labels = [law.label for law in benchmark_laws().values()]
+    assert labels == ["normal(2,1)", "gumbel(3,1)", "gamma(6,3)", "laplace(0.5,0.333333)"]
 
 
 # ---------------------------------------------------------------------------
