@@ -22,7 +22,7 @@ import numpy as np
 
 from .charfn import SpreadEcf, UGrid, bisect_crossing
 from .errors import LevelNotReached, ParameterError
-from .inversion import DensityEstimate, XGrid, grid_cutoff, invert, invert_prefixes, l2_distance
+from .inversion import DensityEstimate, XGrid, invert, prefix_risks
 from .rootlog import MAX_STEP, RootEstimate, distinguished_root, feasible_root, root_grid
 from .samples import GroupedSample, TestLaw
 
@@ -154,12 +154,11 @@ def oracle_risks(
 
     Returns (grid cutoffs, risks), one entry per entry of ``ms`` in the
     order given: ``grid_cutoff(root, m)`` and the risk of the inversion at
-    m.  Cutoffs that share a grid point get bitwise-equal risks.
+    m, all scored from the root's spectrum by ``prefix_risks``, so no
+    candidate is inverted.  Cutoffs that share a grid point get
+    bitwise-equal risks; an empty ``ms`` raises ParameterError.
     """
-    if len(ms) == 0:
-        raise ParameterError("no cutoff candidates to score")
-    cutoffs = np.array([grid_cutoff(root, m) for m in ms])
-    return cutoffs, l2_distance(invert_prefixes(root, ms, xgrid), density, xgrid)
+    return prefix_risks(root, ms, density, xgrid)
 
 
 def estimate(

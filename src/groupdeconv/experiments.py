@@ -71,6 +71,11 @@ class ScenarioGrid:
         ):
             if not all(isinstance(v, numbers.Integral) and v >= least for v in values):
                 raise ParameterError(f"{name} must hold integers >= {least} (got {list(values)})")
+        # a row and a table column are keyed by the law's name
+        names = [law.name for law in self.laws]
+        for name in names:
+            if names.count(name) > 1:
+                raise ParameterError(f"laws must have distinct names (got {name!r} {names.count(name)} times)")
         check_eta(self.eta)
 
     @property

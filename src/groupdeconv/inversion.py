@@ -8,9 +8,12 @@ The density estimate with spectral cutoff m is
 real-valued by conjugate symmetry.  The u-integral is a composite trapezoid
 on the root's grid restricted to [0, m]: the cutoff snaps down to the last
 grid point <= m, ``grid_cutoff``, the package's one cutoff-to-grid mapping.
-On the uniform x-grid the quadrature sums for every x-point, and for a
-batch of cutoffs, are one chirp-z transform evaluated by FFT; each
-x-point's value is still the same u-quadrature.
+On the uniform x-grid the quadrature sums for every x-point are one chirp-z
+transform evaluated by FFT; each x-point's value is still the same
+u-quadrature.  ``prefix_risks`` scores many cutoffs of one root without
+inverting any of them: the inversions are nested prefixes of one spectrum,
+so their trapezoid L2 risks on the x-grid are quadratic forms in the
+root values (see its docstring).
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._fourier import chirp_z
 from .charfn import GRID_SLACK
@@ -36,13 +40,17 @@ __all__ = [
     "default_xgrid",
     "grid_cutoff",
     "invert",
-    "invert_prefixes",
     "l2_distance",
+    "prefix_risks",
 ]
 
 
 # Points on the default x-grid.
 X_COUNT = 1024
+
+# Rows per block of prefix_risks' lower-triangular Hankel sums: bounds its
+# working set to a square of this many rows.
+_HANKEL_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -157,33 +165,26 @@ def grid_cutoff(root: RootEstimate, m: float) -> float:
 
 
 def invert(root: RootEstimate, m: float, xgrid: XGrid) -> DensityEstimate:
-    """Spectral-cutoff inversion of the root estimate at cutoff m."""
+    """Spectral-cutoff inversion of the root estimate at cutoff m.
+
+    The trapezoid weights over [0, m] (all zero when m is under one grid
+    step) times the root values go through one chirp-z transform.
+    """
+    k = _cutoff_index(root, m)
+    step = root.grid.step
+    weights = np.zeros(k + 1)
+    if k >= 1:
+        weights[:] = step
+        weights[0] = weights[k] = step / 2.0
+    values = (weights * root.values()[: k + 1])[np.newaxis]
     return DensityEstimate(
         xgrid=xgrid,
-        values=invert_prefixes(root, [m], xgrid)[0],
+        values=chirp_z(values, step, xgrid.x_min, xgrid.spacing, xgrid.count)[0].real / math.pi,
         cutoff_m=m,
         cutoff_rule={"rule": "fixed"},
         group_size=root.group_size,
         provenance={},
     )
-
-
-def invert_prefixes(root: RootEstimate, ms, xgrid: XGrid) -> np.ndarray:
-    """f_m values for several cutoffs sharing one root, one row per cutoff.
-
-    Each cutoff contributes one row of trapezoid weights over [0, m]
-    (all zero when m is under one grid step); the weighted root values of
-    every row go through one chirp-z transform.
-    """
-    ks = [_cutoff_index(root, m) for m in ms]
-    step = root.grid.step
-    weights = np.zeros((len(ks), max(ks) + 1))
-    for row, k in zip(weights, ks):
-        if k >= 1:
-            row[: k + 1] = step
-            row[0] = row[k] = step / 2.0
-    values = weights * root.values()[: weights.shape[1]]
-    return chirp_z(values, step, xgrid.x_min, xgrid.spacing, xgrid.count).real / math.pi
 
 
 def l2_distance(values, density, xgrid: XGrid):
@@ -195,3 +196,81 @@ def l2_distance(values, density, xgrid: XGrid):
     """
     target = density(xgrid.points) if callable(density) else np.asarray(density)
     return np.trapezoid((values - target) ** 2, dx=xgrid.spacing, axis=-1)
+
+
+def prefix_risks(root: RootEstimate, ms, density, xgrid: XGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(grid cutoffs, risks) for several cutoffs sharing one root, one entry
+    per entry of ``ms`` in the order given: ``grid_cutoff(root, m)`` and
+    ``l2_distance(invert(root, m, xgrid).values, density, xgrid)``, computed
+    from the root's spectrum without inverting any cutoff.
+
+    With c_i the x-grid's trapezoid weights, f_i the density, xi_i = x_i - mid
+    about the grid's midpoint, s the root step and g_j = s phi_hat_X(u_j)
+    e^{-i mid u_j} (g_0 halved), the inversion at grid index k >= 1 is
+    Re h_k(xi) / pi, h_k = sum_{j <= k} a_j e^{-i xi u_j} with a = g but
+    a_k = g_k / 2.  Its risk is Q(k) - 2 L(k) + sum_i c_i f_i^2, where
+
+        2 pi^2 Q(k) = sum_{j, l <= k} a_j conj(a_l) T(j - l) + Re a_j a_l T(j + l)
+             pi L(k) = Re sum_{j <= k} a_j Phi_j
+
+    for T(d) = sum_i c_i e^{-i xi_i d s} (real: c is symmetric) and Phi_j =
+    sum_i c_i f_i e^{-i xi_i j s}, both from one two-row chirp-z transform.
+    Q and L are cumulative sums over k, the halved end weight a correction
+    read at row k.  Q's terms need the Toeplitz and Hankel row sums of g
+    against T up to k: within one x-grid's count of indices a causal
+    convolution and lower-triangular blocks of the view T(k + l), and
+    through the partial inversion on the x-grid for the indices before
+    that (T's matrices have rank <= the count), so the cost is linear in
+    the largest index past it.  Index 0 inverts to zero: risk sum_i c_i
+    f_i^2.  The sums cancel by about that energy over the risk, and a risk
+    is good to ~1e-15 of the energy.  Cutoffs sharing a grid point get
+    bitwise-equal risks.
+    """
+    if len(ms) == 0:
+        raise ParameterError("no cutoff candidates to score")
+    ks = np.array([_cutoff_index(root, m) for m in ms])
+    target = density(xgrid.points) if callable(density) else np.asarray(density)
+    energy = l2_distance(0.0, target, xgrid)
+    top = int(ks.max())
+    risks = np.full(top + 1, energy)
+    if top >= 1:
+        step = root.grid.step
+        u = np.arange(top + 1) * step
+        mid = 0.5 * (xgrid.x_min + xgrid.x_max)
+        half = 0.5 * (xgrid.x_max - xgrid.x_min)
+        trap = np.full(xgrid.count, xgrid.spacing)
+        trap[[0, -1]] /= 2.0
+        # sum_i row_i e^{-i (d s)(i dx)}, then the phase back to the midpoint
+        sums = chirp_z(np.stack([trap, trap * target]), xgrid.spacing, 0.0, step, 2 * top + 1)
+        sums *= np.exp(1j * half * step * np.arange(2 * top + 1))
+        t, phi = sums[0].real, sums[1, : top + 1]
+        g = step * root.modulus_pow[: top + 1] * np.exp(1j * (root.phase[: top + 1] - mid * u))
+        g[0] /= 2.0
+
+        # rows[k] = sum_{l <= k} conj(g_l) T(k - l) + sum_{l < k} g_l T(k + l),
+        # from numpy's own sums: threaded BLAS is slower at these sizes
+        rows = np.zeros(top + 1, dtype=complex)
+        hankel = sliding_window_view(t, top + 1)
+        partial = np.zeros(xgrid.count)  # Re sum_{l < lo} g_l e^{-i xi u_l}
+        for lo in range(0, top + 1, xgrid.count):
+            hi = min(lo + xgrid.count, top + 1)
+            if lo:
+                back = chirp_z((2.0 * trap * partial)[np.newaxis], xgrid.spacing, lo * step, step, hi - lo)
+                rows[lo:hi] = back[0] * np.exp(1j * half * u[lo:hi])
+            rows[lo:hi] += np.convolve(np.conj(g[lo:hi]), t[: hi - lo])[: hi - lo]
+            for r in range(lo, hi, _HANKEL_BLOCK):
+                e = min(r + _HANKEL_BLOCK, hi)
+                if r > lo:  # the columns lo <= l < r: a correlation
+                    rows[r:e] += np.correlate(t[lo + r : r + e - 1], np.conj(g[lo:r]))
+                rows[r:e] += (np.tril(hankel[r:e, r:e], -1) * g[r:e]).sum(axis=1)
+            if hi <= top:
+                partial += chirp_z(g[np.newaxis, lo:hi], step, -half, xgrid.spacing, xgrid.count, lo)[0].real
+
+        cross = (g * rows).real
+        diag = np.abs(g) ** 2 * t[0]
+        anti = (g * g * t[::2]).real
+        quad = np.cumsum(2.0 * cross - diag + anti) - cross + diag / 4.0 - 0.75 * anti
+        lin = (g * phi).real
+        lin = np.cumsum(lin) - lin / 2.0
+        risks[1:] = (quad / (2.0 * math.pi**2) - 2.0 * lin / math.pi + energy)[1:]
+    return ks * root.grid.step, risks[ks]

@@ -90,7 +90,7 @@ class RootEstimate:
 
     @property
     def u_limit(self) -> float:
-        return self.grid.points[-1]
+        return self.grid.n_half * self.grid.step
 
 
 def _require_in_range(cf: CfEvaluation, u_limit: float) -> int:

@@ -348,6 +348,21 @@ def test_simulate_config_rejects_an_empty_axis(tmp_path, capsys, line, named):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("how", ["flags", "config"])
+def test_simulate_rejects_a_repeated_law(tmp_path, capsys, how):
+    # two laws of one name would write rows and columns no one can tell apart
+    if how == "flags":
+        args = ["--law", "normal", "--law", "normal"]
+    else:
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("laws = normal,gumbel,normal\n")
+        args = ["--config", cfg]
+    assert run_cli(["simulate", *args, "--reps", 1, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert "laws must have distinct names (got 'normal' 2 times)" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_all_failed_exit_code(tmp_path):
     code = run_cli(
         ["simulate", "--law", "normal", "--n", 2, "--group-size", 1,

@@ -140,6 +140,9 @@ def test_scenario_grid_validation():
     for name, value in (("replications", 2.5), ("ns", (1000.5,)), ("group_sizes", (2.5,))):
         with pytest.raises(ParameterError, match=f"{name} must hold integers"):
             tiny_grid(**{name: value})
+    # rows and table columns are keyed by the law's name
+    with pytest.raises(ParameterError, match="distinct names \\(got 'normal' 2 times\\)"):
+        tiny_grid(laws=(Normal(2.0, 1.0), Normal(0.0, 4.0)))
 
 
 def test_benchmark_grid_is_full_study():
@@ -267,6 +270,20 @@ def test_no_private_cross_module_imports():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_only_the_fourier_module_calls_an_fft():
+    # one Fourier kernel: every transform in the package is _fourier's chirp-z
+    callers = set()
+    for path in Path(groupdeconv.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                callers.add(path.stem)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                if any(name.split(".")[-1] == "fft" for name in names):
+                    callers.add(path.stem)
+    assert callers == {"_fourier"}
 
 
 def test_only_inversion_maps_a_cutoff_to_the_grid():

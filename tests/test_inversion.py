@@ -1,17 +1,21 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupdeconv.charfn import CfEvaluation, UGrid
 from groupdeconv.errors import CutoffExceedsRange, ParameterError
 from groupdeconv.inversion import (
     XGrid,
     default_xgrid,
+    grid_cutoff,
     invert,
-    invert_prefixes,
     l2_distance,
+    prefix_risks,
 )
 from groupdeconv.rootlog import distinguished_root
 from groupdeconv.samples import Gamma, Normal, generate_grouped
@@ -162,16 +166,40 @@ PREFIX_CASES = {
 
 
 @pytest.mark.parametrize("case", PREFIX_CASES)
-def test_invert_prefixes_match_single_inversions(case):
+def test_invert_matches_dense_inversion(case):
     make_root, xg, ms = PREFIX_CASES[case]
     root = make_root()
-    batch = invert_prefixes(root, ms, xg)
-    for m, vals in zip(ms, batch):
+    for m in ms:
         reference = dense_inversion(root, m, xg)
         # zero tolerance for a cutoff under one step: the values must be exact zeros
         tol = 1e-12 * np.abs(reference).max()
-        np.testing.assert_allclose(vals, reference, rtol=0, atol=tol)
         np.testing.assert_allclose(invert(root, m, xg).values, reference, rtol=0, atol=tol)
+
+
+prefix_case_root = functools.cache(lambda case: PREFIX_CASES[case][0]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(sorted(PREFIX_CASES)),
+    law=st.sampled_from([Normal(2.0, 1.0), Gamma(3.0, 3.0), Normal(1000.0, 1.0)]),
+    fractions=st.lists(st.floats(1e-3, 1.0), max_size=4),
+    data=st.data(),
+)
+def test_prefix_risks_match_single_inversions(case, law, fractions, data):
+    # each risk is the L2 distance of that cutoff's own inversion, in the
+    # order given, whatever the order and repeats of the candidates; one
+    # case holds a cutoff under one step, whose risk is sum_i c_i f_i^2
+    _make_root, xg, case_ms = PREFIX_CASES[case]
+    root = prefix_case_root(case)
+    ms = case_ms + [f * root.u_limit for f in fractions]
+    ms = data.draw(st.permutations(ms + data.draw(st.lists(st.sampled_from(ms), max_size=3))))
+    cutoffs, risks = prefix_risks(root, ms, law.pdf, xg)
+    assert cutoffs.tolist() == [grid_cutoff(root, m) for m in ms]
+    alone = [l2_distance(invert(root, m, xg).values, law.pdf, xg) for m in ms]
+    np.testing.assert_allclose(risks, alone, rtol=1e-12, atol=1e-15)
+    for m, risk in zip(ms, risks):
+        assert risk == risks[ms.index(m)]
 
 
 def test_monotone_truncation_on_analytic_input():
@@ -216,11 +244,11 @@ def test_l2_distance_shifted_gaussian_fine_grid_oracle():
 
 
 def test_l2_distance_batch_matches_rows():
-    # the oracle scores a whole batch of cutoffs in one call
+    # a batch of estimates, one per row, scores like each row alone
     law = Normal(2.0, 1.0)
     root = analytic_root(law, 4.0, 0.01)
     xg = XGrid(-3.0, 7.0, 301)
-    batch = invert_prefixes(root, [0.5, 1.0, 2.0, 4.0], xg)
+    batch = np.stack([invert(root, m, xg).values for m in (0.5, 1.0, 2.0, 4.0)])
     risks = l2_distance(batch, law.pdf, xg)
     assert risks.shape == (4,)
     for row, risk in zip(batch, risks):
