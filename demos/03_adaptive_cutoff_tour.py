@@ -19,6 +19,7 @@ from groupdeconv import (
     generate_grouped,
     threshold_value,
 )
+from groupdeconv.bandwidth import diagnostic_level
 
 law = Laplace(0.5, 1.0 / 3.0)
 
@@ -40,7 +41,7 @@ for k in (5, 10, 20, 50):
     print(f"  K={k:3d}: median m_hat = {np.median(vals):.3f}")
 
 print("\nadaptive cutoff vs the theoretical crossing (n = 2000, K = 5)")
-u_theory = diagnostic_threshold_u(law, 2000, 5.0)
+u_theory = diagnostic_threshold_u(law, 5.0, diagnostic_level(2000, 5.0)[1])
 vals = [
     adaptive_cutoff(cap_spread(generate_grouped(law, 2000, 5, seed=(3, r)))).value
     for r in range(20)

@@ -14,7 +14,6 @@ from .bandwidth import (
     default_oracle_grid,
     diagnostic_threshold_u,
     estimate,
-    oracle_risks,
     threshold_value,
 )
 from .charfn import CfEvaluation, SpreadEcf, UGrid
@@ -39,6 +38,7 @@ from .inversion import (
     default_xgrid,
     invert,
     l2_distance,
+    oracle_risks,
 )
 from .rootlog import (
     RootEstimate,

@@ -21,6 +21,7 @@ or to ~1.6e-12 / u_max when they all sit within a small part of 1/u_max.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -76,7 +77,10 @@ def _half_square_phase(theta: float, n: np.ndarray) -> np.ndarray:
     """
     n2 = np.square(n.astype(float))  # exact: |n| < 2^26
     rate = theta / (4.0 * math.pi)
-    scale = 2.0 ** (53 - int(n2.max()).bit_length() - math.frexp(rate)[1])
+    # capped at the largest power of two a double holds: a tinier rate's
+    # high part has fewer bits, and its low part stays below 2^-1024 n^2
+    bits = 53 - int(n2.max()).bit_length() - math.frexp(rate)[1]
+    scale = 2.0 ** min(bits, sys.float_info.max_exp - 1)
     high = round(rate * scale) / scale  # high * n^2 <= 2^53 in magnitude
     turns = np.fmod(high * n2, 1.0) + (rate - high) * n2
     return (2.0 * math.pi) * (turns - np.round(turns))

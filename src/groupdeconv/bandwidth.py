@@ -22,8 +22,8 @@ import numpy as np
 
 from .charfn import SpreadEcf, UGrid, bisect_crossing
 from .errors import LevelNotReached, ParameterError
-from .inversion import DensityEstimate, XGrid, invert, prefix_risks
-from .rootlog import MAX_STEP, RootEstimate, distinguished_root, feasible_root, root_grid
+from .inversion import DensityEstimate, XGrid, invert, oracle_risks
+from .rootlog import MAX_STEP, distinguished_root, feasible_root, root_grid
 from .samples import GroupedSample, TestLaw
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "scan_grid",
     "cap_spread",
     "adaptive_cutoff",
-    "oracle_risks",
     "estimate",
     "default_oracle_grid",
     "diagnostic_level",
@@ -113,7 +112,7 @@ def cap_spread(sample: GroupedSample) -> SpreadEcf:
 
 def adaptive_cutoff(ecf: SpreadEcf, eta: float = DEFAULT_ETA) -> CutoffRecord:
     """Data-driven cutoff: scan |phi_hat| on ``scan_grid``, refine the first
-    threshold crossing with ``SpreadEcf.crossing``, cap at n^{1/K}.
+    threshold crossing by bisecting ``SpreadEcf.modulus``, cap at n^{1/K}.
 
     ``ecf`` is the sample's spread, e.g. ``cap_spread(sample)``.  A
     threshold >= |phi_hat(0)| = 1 leaves no cutoff > 0: ParameterError.
@@ -133,7 +132,7 @@ def adaptive_cutoff(ecf: SpreadEcf, eta: float = DEFAULT_ETA) -> CutoffRecord:
     # crossing itself does not, so refine whenever the bracket starts below it
     value = cap
     if k < u.size and u[k - 1] < cap:
-        value = ecf.crossing(t, u[k - 1], u[k])
+        value = bisect_crossing(ecf.modulus, t, u[k - 1], u[k])
     if value >= cap:
         return CutoffRecord(cap, "adaptive", False, MAX_STEP, params)
     return CutoffRecord(value, "adaptive", True, MAX_STEP, params)
@@ -145,20 +144,6 @@ def default_oracle_grid(u_hi: float) -> np.ndarray:
     if u_hi <= 0.25:
         return np.asarray([u_hi])
     return np.geomspace(0.25, u_hi, 60)
-
-
-def oracle_risks(
-    root: RootEstimate, density, ms, xgrid: XGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-density L2 risks at each cutoff, sharing one root estimate.
-
-    Returns (grid cutoffs, risks), one entry per entry of ``ms`` in the
-    order given: ``grid_cutoff(root, m)`` and the risk of the inversion at
-    m, all scored from the root's spectrum by ``prefix_risks``, so no
-    candidate is inverted.  Cutoffs that share a grid point get
-    bitwise-equal risks; an empty ``ms`` raises ParameterError.
-    """
-    return prefix_risks(root, ms, density, xgrid)
 
 
 def estimate(
@@ -238,21 +223,18 @@ def diagnostic_level(
     return gamma, (1.0 + eps) * gamma * math.sqrt(math.log(n) / n)
 
 
-def diagnostic_threshold_u(
-    law: TestLaw,
-    n: int,
-    group_size: float,
-    gamma: float | None = None,
-    eps: float = 0.1,
-    delta: float = 0.1,
-) -> float:
-    """First u >= 0 where |phi_X(u)|^K falls to ``diagnostic_level``.
+def diagnostic_threshold_u(law: TestLaw, group_size: float, level: float) -> float:
+    """First u >= 0 where |phi_X(u)|^K falls to ``level``, e.g. the one
+    ``diagnostic_level`` gives.
 
-    Levels >= 1 are already met at u = 0.  The bracketing scan assumes the
-    benchmark laws' monotonically decaying |phi_X|; LevelNotReached signals
-    that the level is never met before DIAGNOSTIC_U_MAX.
+    A level <= 0 is rejected: |phi_X|^K reaches it only where it
+    underflows.  Levels >= 1 are already met at u = 0.  The bracketing scan
+    assumes the benchmark laws' monotonically decaying |phi_X|;
+    LevelNotReached signals that the level is never met before
+    DIAGNOSTIC_U_MAX.
     """
-    _, level = diagnostic_level(n, group_size, gamma, eps, delta)
+    if not (level > 0):
+        raise ParameterError(f"the diagnostic level must be > 0 (got {level:g})")
     if level >= 1.0:
         return 0.0
 

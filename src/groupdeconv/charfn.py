@@ -115,8 +115,8 @@ class SpreadEcf:
     The observations are centred at their median c and spread once, with
     weight 1, onto a uniform y-grid (``_fourier.GaussianSpread``) of at most
     GRID_BUDGET points.  ``read`` gives phi_hat and phi_hat' on a uniform
-    grid from one chirp-z transform of it, ``modulus`` |phi_hat| at one u
-    from one dot product, and ``crossing`` bisects on ``modulus``.
+    grid from one chirp-z transform of it, and ``modulus`` |phi_hat| at one
+    u from one dot product, which ``bisect_crossing`` bisects on.
 
     Observations farther from c than the grid reaches are summed directly
     at a single u, O(n_far).  A grid read repeats over Y -> Y + 2 pi / step,
@@ -182,10 +182,6 @@ class SpreadEcf:
         if self._far.size:
             total += np.exp(-1j * u * self.center) * np.exp(1j * u * self._far).sum()
         return abs(total) / self.n
-
-    def crossing(self, level: float, lo: float, hi: float) -> float:
-        """A u in [lo, hi] where |phi_hat(u)| falls to ``level`` (bisects ``modulus``)."""
-        return bisect_crossing(self.modulus, level, lo, hi)
 
 
 def bisect_crossing(f, level: float, lo: float, hi: float) -> float:

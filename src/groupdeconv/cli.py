@@ -28,16 +28,9 @@ from .bandwidth import (
     estimate,
     threshold_value,
 )
-from .errors import (
-    DataFormatError,
-    DenominatorTooSmall,
-    GroupDeconvError,
-    LevelNotReached,
-    ParameterError,
-)
+from .errors import DataFormatError, GroupDeconvError, LevelNotReached, ParameterError
 from .experiments import ScenarioGrid, run_grid
 from .inversion import X_COUNT, XGrid, default_xgrid
-from .rootlog import MAX_STEP
 from .samples import law_from_name, load_sample
 
 
@@ -81,22 +74,24 @@ def cmd_estimate(args) -> int:
     law = law_from_name(args.law) if args.law is not None else None
     sample = load_sample(args.input, args.group_size)
 
-    # every tunable that shaped the estimate, and only those, goes into its JSON
-    defaults = {"eta": args.eta, "scan_resolution": MAX_STEP} if cutoff == "adaptive" else {}
     if args.x_min is not None or args.x_max is not None:
         if args.x_min is None or args.x_max is None:
             raise ParameterError("--x-min and --x-max must be given together")
         xgrid = XGrid(args.x_min, args.x_max, args.x_count)
     else:
         xgrid = default_xgrid(sample, args.x_count)
+
+    est = estimate(sample, xgrid, cutoff, args.eta, law)
+    # every tunable that shaped the estimate, and only those, goes into its JSON
+    rule = est.cutoff_rule
+    defaults = {k: rule[k] for k in ("eta", "scan_resolution")} if cutoff == "adaptive" else {}
+    if args.x_min is None:
         defaults["x_grid_policy"] = (
             f"center mean(Y)/K, half-width 8*sd(X), {args.x_count} points"
         )
-
-    est = estimate(sample, xgrid, cutoff, args.eta, law)
     est = replace(
         est,
-        cutoff_rule=est.cutoff_rule | {"defaults": defaults},
+        cutoff_rule=rule | {"defaults": defaults},
         provenance=est.provenance | {"source": str(args.input)},
     )
     out = Path(args.out)
@@ -202,7 +197,7 @@ def cmd_diagnose(args) -> int:
 
     warning = None
     try:
-        u_n = diagnostic_threshold_u(law, n, k, args.gamma, args.eps, args.delta)
+        u_n = diagnostic_threshold_u(law, k, level)
     except LevelNotReached as exc:
         u_n = None
         warning = str(exc)
@@ -302,13 +297,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DenominatorTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParameterError, DataFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParameterError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GroupDeconvError as exc:

@@ -24,11 +24,10 @@ from .bandwidth import (
     check_eta,
     cutoff_cap,
     default_oracle_grid,
-    oracle_risks,
     scan_grid,
 )
 from .errors import GroupDeconvError, ParameterError
-from .inversion import XGrid, centred_xgrid
+from .inversion import XGrid, centred_xgrid, oracle_risks
 from .rootlog import feasible_root
 from .samples import TestLaw, benchmark_laws, generate_grouped
 
@@ -66,6 +65,7 @@ class ScenarioGrid:
                 raise ParameterError(f"{name} must not be empty")
         for name, values, least in (
             ("replications", [self.replications], 1),
+            ("master_seed", [self.master_seed], 0),
             ("ns", self.ns, 2),
             ("group_sizes", self.group_sizes, 1),
         ):

@@ -7,13 +7,13 @@ The density estimate with spectral cutoff m is
 
 real-valued by conjugate symmetry.  The u-integral is a composite trapezoid
 on the root's grid restricted to [0, m]: the cutoff snaps down to the last
-grid point <= m, ``grid_cutoff``, the package's one cutoff-to-grid mapping.
-On the uniform x-grid the quadrature sums for every x-point are one chirp-z
-transform evaluated by FFT; each x-point's value is still the same
-u-quadrature.  ``prefix_risks`` scores many cutoffs of one root without
-inverting any of them: the inversions are nested prefixes of one spectrum,
-so their trapezoid L2 risks on the x-grid are quadratic forms in the
-root values (see its docstring).
+grid point <= m, the package's one cutoff-to-grid mapping.  On the uniform
+x-grid the quadrature sums for every x-point are one chirp-z transform
+evaluated by FFT; each x-point's value is still the same u-quadrature.
+``oracle_risks`` scores many cutoffs of one root without inverting any of
+them: the inversions are nested prefixes of one spectrum, so their
+trapezoid L2 risks on the x-grid are quadratic forms in the root values
+(see its docstring).
 """
 from __future__ import annotations
 
@@ -38,17 +38,16 @@ __all__ = [
     "DensityEstimate",
     "centred_xgrid",
     "default_xgrid",
-    "grid_cutoff",
     "invert",
     "l2_distance",
-    "prefix_risks",
+    "oracle_risks",
 ]
 
 
 # Points on the default x-grid.
 X_COUNT = 1024
 
-# Rows per block of prefix_risks' lower-triangular Hankel sums: bounds its
+# Rows per block of oracle_risks' lower-triangular Hankel sums: bounds its
 # working set to a square of this many rows.
 _HANKEL_BLOCK = 128
 
@@ -149,6 +148,7 @@ class DensityEstimate:
 
 
 def _cutoff_index(root: RootEstimate, m: float) -> int:
+    """The grid index the inversion at m integrates to: the root's last grid point <= m."""
     if not (m > 0):
         raise ParameterError(f"cutoff m must be > 0 (got {m})")
     if m > root.u_limit + root.grid.step * (1 + GRID_SLACK):
@@ -157,11 +157,6 @@ def _cutoff_index(root: RootEstimate, m: float) -> int:
             f"[0, {root.u_limit:.6g}]"
         )
     return root.grid.index_of(m)
-
-
-def grid_cutoff(root: RootEstimate, m: float) -> float:
-    """The cutoff the inversion at m integrates to: the root's last grid point <= m."""
-    return _cutoff_index(root, m) * root.grid.step
 
 
 def invert(root: RootEstimate, m: float, xgrid: XGrid) -> DensityEstimate:
@@ -198,11 +193,14 @@ def l2_distance(values, density, xgrid: XGrid):
     return np.trapezoid((values - target) ** 2, dx=xgrid.spacing, axis=-1)
 
 
-def prefix_risks(root: RootEstimate, ms, density, xgrid: XGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(grid cutoffs, risks) for several cutoffs sharing one root, one entry
-    per entry of ``ms`` in the order given: ``grid_cutoff(root, m)`` and
-    ``l2_distance(invert(root, m, xgrid).values, density, xgrid)``, computed
-    from the root's spectrum without inverting any cutoff.
+def oracle_risks(root: RootEstimate, density, ms, xgrid: XGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-density L2 risks at several cutoffs sharing one root.
+
+    Returns (grid cutoffs, risks), one entry per entry of ``ms`` in the
+    order given: the root's last grid point <= m and ``l2_distance(invert(
+    root, m, xgrid).values, density, xgrid)``, computed from the root's
+    spectrum without inverting any cutoff.  An empty ``ms`` raises
+    ParameterError.
 
     With c_i the x-grid's trapezoid weights, f_i the density, xi_i = x_i - mid
     about the grid's midpoint, s the root step and g_j = s phi_hat_X(u_j)

@@ -20,6 +20,7 @@ meaningless and the continuous-logarithm construction loses its footing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,9 +56,20 @@ def default_step(u_range: float) -> float:
 
 
 def root_grid(m: float) -> UGrid:
-    """The grid a root for cutoff m is read on: step default_step(m), to m + step."""
+    """The grid a root for cutoff m is read on: step default_step(m), to m + step.
+
+    The ECF read on it scales phi_hat' by 1 / (m + step)^2 (see
+    ``_fourier.GaussianSpread.grid``), so a cutoff whose reach squared is
+    not a normal double is rejected.
+    """
     step = default_step(m)
-    return UGrid(m + step, step)
+    reach = m + step
+    if not reach * reach >= sys.float_info.min:
+        raise ParameterError(
+            f"cutoff m={m:g} is too small: the square of its grid's reach "
+            f"{reach:g} is below the smallest normal double"
+        )
+    return UGrid(reach, step)
 
 
 def denominator_floor(n: int | None) -> float:

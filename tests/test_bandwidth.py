@@ -15,13 +15,12 @@ from groupdeconv.bandwidth import (
     diagnostic_level,
     diagnostic_threshold_u,
     estimate,
-    oracle_risks,
     scan_grid,
     threshold_value,
 )
 from groupdeconv.charfn import UGrid
 from groupdeconv.errors import LevelNotReached, ParameterError
-from groupdeconv.inversion import XGrid, default_xgrid, grid_cutoff, invert, l2_distance
+from groupdeconv.inversion import XGrid, default_xgrid, invert, l2_distance, oracle_risks
 from groupdeconv.rootlog import default_step, feasible_root
 from groupdeconv.samples import (
     Gamma,
@@ -239,7 +238,7 @@ def test_oracle_risks_one_per_candidate_in_the_order_given():
     xg = default_xgrid(s)
     ms = [2.2, 0.4, 3.0, 1.234, 0.4, 0.9]
     cutoffs, risks = oracle_risks(root, law.pdf, ms, xg)
-    assert cutoffs.tolist() == [grid_cutoff(root, m) for m in ms]
+    assert cutoffs.tolist() == [root.grid.index_of(m) * root.grid.step for m in ms]
     assert cutoffs.tolist() == pytest.approx([2.2, 0.4, 3.0, 1.23, 0.4, 0.9])
     for m, risk in zip(ms, risks):
         alone = l2_distance(invert(root, m, xg).values, law.pdf, xg)
@@ -284,14 +283,16 @@ def test_default_oracle_grid_shape():
 
 def test_diagnostic_level_already_met_at_zero():
     # eps large enough to push the level above 1
-    assert diagnostic_threshold_u(Normal(2.0, 1.0), 2, 5.0, eps=1.0) == 0.0
+    _, level = diagnostic_level(2, 5.0, eps=1.0)
+    assert level > 1.0
+    assert diagnostic_threshold_u(Normal(2.0, 1.0), 5.0, level) == 0.0
 
 
 def test_diagnostic_normal_closed_form():
     n, k, eps = 10**4, 5.0, 0.1
     gamma = math.sqrt(1 + 2 / k)
-    u = diagnostic_threshold_u(Normal(2.0, 1.0), n, k, gamma=gamma, eps=eps)
     level = (1 + eps) * gamma * math.sqrt(math.log(n) / n)
+    u = diagnostic_threshold_u(Normal(2.0, 1.0), k, level)
     expected = math.sqrt(-2.0 * math.log(level) / k)
     assert abs(u - expected) < 1e-6
 
@@ -301,8 +302,8 @@ def test_diagnostic_laplace_closed_form():
     law = Laplace(0.5, 1.0 / 3.0)
     n, k, eps = 10**4, 5.0, 0.1
     gamma = math.sqrt(1 + 2 / k + 0.1)
-    u = diagnostic_threshold_u(law, n, k, gamma=gamma, eps=eps)
     level = (1 + eps) * gamma * math.sqrt(math.log(n) / n)
+    u = diagnostic_threshold_u(law, k, level)
     expected = 3.0 * math.sqrt(level ** (-1.0 / k) - 1.0)
     assert abs(u - expected) < 1e-6
 
@@ -313,7 +314,13 @@ def test_diagnostic_laplace_closed_form():
 def test_diagnostic_level_must_be_positive(kw):
     # at eps = -1 the level is 0, met only where |phi_X|^K underflows
     with pytest.raises(ParameterError, match="must be > 0"):
-        diagnostic_threshold_u(Laplace(0.5, 1.0 / 3.0), 10**4, 5.0, **kw)
+        diagnostic_level(10**4, 5.0, **kw)
+
+
+@pytest.mark.parametrize("level", [0.0, -0.5, math.nan])
+def test_diagnostic_threshold_u_rejects_a_level_not_above_zero(level):
+    with pytest.raises(ParameterError, match="level must be > 0"):
+        diagnostic_threshold_u(Laplace(0.5, 1.0 / 3.0), 5.0, level)
 
 
 def test_diagnostic_level_closed_form():
@@ -326,7 +333,7 @@ def test_diagnostic_level_closed_form():
 def test_diagnostic_level_not_reached():
     with pytest.raises(LevelNotReached):
         diagnostic_threshold_u(
-            Laplace(0.5, 1.0 / 3.0), 100, 1.0, gamma=1e-12, eps=0.1
+            Laplace(0.5, 1.0 / 3.0), 1.0, diagnostic_level(100, 1.0, gamma=1e-12)[1]
         )
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupdeconv import charfn
 from groupdeconv._fourier import grid_spacing
 from groupdeconv.bandwidth import adaptive_cutoff, cap_spread, threshold_value
 from groupdeconv.charfn import CROSSING_XTOL, CfEvaluation, SpreadEcf, UGrid
@@ -289,7 +290,7 @@ def test_crossing_matches_direct_bisection(monkeypatch):
     t, lo, hi = threshold_bracket(s)
     ecf = cap_spread(s)
     calls = counting_point_reads(monkeypatch)
-    u = ecf.crossing(t, lo, hi)
+    u = charfn.bisect_crossing(ecf.modulus, t, lo, hi)
     assert len(calls) <= MAX_POINT_READS
     assert abs(u - bisect_crossing(s, t, lo, hi)) <= 1e-12
     assert lo < u < hi
@@ -302,7 +303,7 @@ def test_crossing_on_wide_sample_halves_first(monkeypatch):
     s = GroupedSample(np.append(y, 5000.0), 5.0)
     t, lo, hi = threshold_bracket(s)
     calls = counting_point_reads(monkeypatch)
-    u = cap_spread(s).crossing(t, lo, hi)
+    u = charfn.bisect_crossing(cap_spread(s).modulus, t, lo, hi)
     assert len(calls) <= MAX_POINT_READS
     assert abs(u - bisect_crossing(s, t, lo, hi)) <= 1e-12
 

@@ -167,6 +167,35 @@ def test_estimate_invalid_cutoff_flag(tmp_path, normal_sum_file, capsys):
     assert "fixed cutoff" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", ["1e-200", "1e-300"])
+def test_estimate_rejects_a_cutoff_too_small_to_read(tmp_path, normal_sum_file, capsys, m):
+    # the ECF read on the root grid scales phi_hat' by 1 / reach^2, which
+    # leaves the doubles here: the cutoff is named, not divided by
+    code = run_cli(
+        ["estimate", "--input", normal_sum_file, "--group-size", 5,
+         "--cutoff", f"fixed:{m}", "--out", tmp_path / "e"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"cutoff m={m} is too small" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_estimate_on_an_x_grid_of_tiny_spacing(tmp_path, normal_sum_file):
+    # x-spacing times the root step is below 2^-1022: the chirp phases still
+    # reduce exactly, and every value is f_m(0)
+    values = {}
+    for x_max in (1e-300, 1.0):
+        out = tmp_path / f"e{x_max}"
+        assert run_cli(
+            ["estimate", "--input", normal_sum_file, "--group-size", 5, "--cutoff", "fixed:1",
+             "--x-min", 0, "--x-max", x_max, "--out", out]
+        ) == 0
+        values[x_max] = json.loads(out.with_suffix(".json").read_text())["values"]
+    np.testing.assert_allclose(values[1e-300], values[1.0][0], rtol=1e-12)
+
+
 def test_estimate_oracle_requires_law(tmp_path, normal_sum_file, capsys):
     code = run_cli(
         ["estimate", "--input", normal_sum_file, "--group-size", 5,
@@ -360,6 +389,21 @@ def test_simulate_rejects_a_repeated_law(tmp_path, capsys, how):
     assert run_cli(["simulate", *args, "--reps", 1, "--out", tmp_path / "x"]) == 2
     err = capsys.readouterr().err
     assert "laws must have distinct names (got 'normal' 2 times)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("how, got", [("flags", "[-1]"), ("config", "[-3]")], ids=["flags", "config"])
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys, how, got):
+    if how == "flags":
+        args = ["--seed", -1]
+    else:
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -3\n")
+        args = ["--config", cfg]
+    argv = ["simulate", "--law", "normal", "--n", 400, "--group-size", 2, "--reps", 1]
+    assert run_cli([*argv, *args, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert f"master_seed must hold integers >= 0 (got {got})" in err
     assert "Traceback" not in err
 
 

@@ -137,9 +137,14 @@ def test_scenario_grid_validation():
     for name in ("laws", "ns", "group_sizes"):
         with pytest.raises(ParameterError, match=f"{name} must not be empty"):
             tiny_grid(**{name: ()})
-    for name, value in (("replications", 2.5), ("ns", (1000.5,)), ("group_sizes", (2.5,))):
+    for name, value in (
+        ("replications", 2.5), ("ns", (1000.5,)), ("group_sizes", (2.5,)), ("master_seed", 1.5)
+    ):
         with pytest.raises(ParameterError, match=f"{name} must hold integers"):
             tiny_grid(**{name: value})
+    # a seed sequence takes no negative entropy
+    with pytest.raises(ParameterError, match=r"master_seed must hold integers >= 0 \(got \[-1\]\)"):
+        tiny_grid(master_seed=-1)
     # rows and table columns are keyed by the law's name
     with pytest.raises(ParameterError, match="distinct names \\(got 'normal' 2 times\\)"):
         tiny_grid(laws=(Normal(2.0, 1.0), Normal(0.0, 4.0)))
@@ -272,6 +277,30 @@ def test_no_private_cross_module_imports():
     assert offenders == []
 
 
+def test_every_module_level_def_is_used_or_exported():
+    # a function or class that no other code in the package names and that
+    # __init__ does not export is dead; a def naming itself does not count
+    package = Path(groupdeconv.__file__).parent
+    defs, used = {}, set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{path.stem}.{top.name}"] = top.name
+                names.discard(top.name)
+            used |= names
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {
+        alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    dead = [q for q, name in defs.items() if name not in used | exported]
+    assert dead == []
+
+
 def test_only_the_fourier_module_calls_an_fft():
     # one Fourier kernel: every transform in the package is _fourier's chirp-z
     callers = set()
@@ -288,7 +317,7 @@ def test_only_the_fourier_module_calls_an_fft():
 
 def test_only_inversion_maps_a_cutoff_to_the_grid():
     # charfn defines index_of, rootlog reads the root's own range with it,
-    # and inversion.grid_cutoff is the one cutoff-to-grid mapping
+    # and inversion._cutoff_index is the one cutoff-to-grid mapping
     package = Path(groupdeconv.__file__).parent
     callers = {p.stem for p in package.glob("*.py") if ".index_of(" in p.read_text()}
     assert callers == {"rootlog", "inversion"}

@@ -12,10 +12,9 @@ from groupdeconv.errors import CutoffExceedsRange, ParameterError
 from groupdeconv.inversion import (
     XGrid,
     default_xgrid,
-    grid_cutoff,
     invert,
     l2_distance,
-    prefix_risks,
+    oracle_risks,
 )
 from groupdeconv.rootlog import distinguished_root
 from groupdeconv.samples import Gamma, Normal, generate_grouped
@@ -194,8 +193,8 @@ def test_prefix_risks_match_single_inversions(case, law, fractions, data):
     root = prefix_case_root(case)
     ms = case_ms + [f * root.u_limit for f in fractions]
     ms = data.draw(st.permutations(ms + data.draw(st.lists(st.sampled_from(ms), max_size=3))))
-    cutoffs, risks = prefix_risks(root, ms, law.pdf, xg)
-    assert cutoffs.tolist() == [grid_cutoff(root, m) for m in ms]
+    cutoffs, risks = oracle_risks(root, law.pdf, ms, xg)
+    assert cutoffs.tolist() == [root.grid.index_of(m) * root.grid.step for m in ms]
     alone = [l2_distance(invert(root, m, xg).values, law.pdf, xg) for m in ms]
     np.testing.assert_allclose(risks, alone, rtol=1e-12, atol=1e-15)
     for m, risk in zip(ms, risks):
