@@ -39,6 +39,7 @@ from .inversion import (
     invert,
     l2_distance,
     oracle_risks,
+    oracle_table,
 )
 from .rootlog import (
     RootEstimate,

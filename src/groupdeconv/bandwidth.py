@@ -22,7 +22,7 @@ import numpy as np
 
 from .charfn import SpreadEcf, UGrid, bisect_crossing
 from .errors import LevelNotReached, ParameterError
-from .inversion import DensityEstimate, XGrid, invert, oracle_risks
+from .inversion import DensityEstimate, XGrid, invert, oracle_risks, oracle_table
 from .rootlog import MAX_STEP, distinguished_root, feasible_root, root_grid
 from .samples import GroupedSample, TestLaw
 
@@ -98,16 +98,16 @@ def cutoff_cap(n: int, group_size: float) -> float:
     return float(n) ** (1.0 / group_size)
 
 
-def scan_grid(sample: GroupedSample | SpreadEcf) -> UGrid:
-    """The adaptive rule's scan grid: step MAX_STEP, one step past the cap."""
-    cap = cutoff_cap(sample.n, sample.group_size)
-    return UGrid(u_max=cap + MAX_STEP, step=MAX_STEP)
+def scan_grid(n: int, group_size: float) -> UGrid:
+    """The adaptive rule's scan grid for n sums of ``group_size``: step
+    MAX_STEP, one step past the cap."""
+    return UGrid(u_max=cutoff_cap(n, group_size) + MAX_STEP, step=MAX_STEP)
 
 
 def cap_spread(sample: GroupedSample) -> SpreadEcf:
-    """The sample spread once up to ``scan_grid(sample).u_max``: the largest
+    """The sample spread once up to its ``scan_grid``'s u_max: the largest
     frequency the adaptive and oracle rules read."""
-    return SpreadEcf(sample, scan_grid(sample).u_max)
+    return SpreadEcf(sample, scan_grid(sample.n, sample.group_size).u_max)
 
 
 def adaptive_cutoff(ecf: SpreadEcf, eta: float = DEFAULT_ETA) -> CutoffRecord:
@@ -119,7 +119,7 @@ def adaptive_cutoff(ecf: SpreadEcf, eta: float = DEFAULT_ETA) -> CutoffRecord:
     """
     t = threshold_value(ecf.n, ecf.group_size, eta)
     cap = cutoff_cap(ecf.n, ecf.group_size)
-    ev = ecf.read(scan_grid(ecf))
+    ev = ecf.read(scan_grid(ecf.n, ecf.group_size))
     params = {"eta": eta, "threshold": t, "cap": cap}
     u = ev.grid.points
     below = np.flatnonzero(ev.abs_phi <= t)
@@ -156,8 +156,8 @@ def estimate(
     or "oracle": the grid cutoff at the first argmin of the ``oracle_risks``
     against ``law``'s density over ``default_oracle_grid`` up to the cap
     n^{1/K}; its record counts the distinct grid cutoffs (``candidates``).
-    The oracle scores and inverts one feasible root on ``root_grid(cap)``,
-    and records where |phi_hat| hit the integration floor (``truncated_at``);
+    The oracle scores one feasible root on ``root_grid(cap)`` against one
+    ``oracle_table`` built for it, inverts that root, and records where |phi_hat| hit the integration floor (``truncated_at``);
     the other rules invert a root on ``root_grid(m)``.  The adaptive and
     oracle rules spread the sample up to the cap plus MAX_STEP, a fixed m
     as far as ``root_grid(m)``.
@@ -170,7 +170,8 @@ def estimate(
         grid = root_grid(cap)
         root, violation = feasible_root(cap_spread(sample).read(grid))
         candidates = default_oracle_grid(min(cap, root.u_limit))
-        cutoffs, risks = oracle_risks(root, law.pdf, candidates, xgrid)
+        table = oracle_table(law.pdf, xgrid, grid.step, root.grid.n_half)
+        cutoffs, risks = oracle_risks(root, table, candidates)
         best = int(np.argmin(risks))  # candidates ascend: smallest m on ties
         params = {"risk": float(risks[best]), "candidates": np.unique(cutoffs).size}
         if violation is not None:

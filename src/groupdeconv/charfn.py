@@ -14,6 +14,7 @@ the crossing between two of its points, and the root's grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,11 @@ class UGrid:
         """Nonnegative grid points, 0 first."""
         return np.arange(self.n_half + 1) * self.step
 
-    def index_of(self, u: float) -> int:
-        """Largest grid index k with k*step <= u (clipped to the grid)."""
-        return max(0, min(self.n_half, int(np.floor(u / self.step + GRID_SLACK))))
+    def index_of(self, u):
+        """Largest grid index k with k*step <= u (clipped to the grid), for
+        one u or elementwise for an array of them."""
+        k = np.floor(np.asarray(u) / self.step + GRID_SLACK)
+        return np.clip(k, 0, self.n_half).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -125,10 +128,15 @@ class SpreadEcf:
     """
 
     def __init__(self, sample: GroupedSample, u_max: float):
+        self.u_max = float(u_max)
+        # a read scales phi_hat' by 1 / u_max^2 (``GaussianSpread.grid``)
+        if not (0 < self.u_max < math.inf and self.u_max * self.u_max >= sys.float_info.min):
+            raise ParameterError(
+                f"a spread needs a finite u_max > 0 whose square is a normal double (got {u_max:g})"
+            )
         y = sample.observations
         self.n = sample.n
         self.group_size = sample.group_size
-        self.u_max = float(u_max)
         # a sample median (the upper one for even n): one partition, no sort,
         # in the buffer that then holds the centred observations
         yc = y.copy()

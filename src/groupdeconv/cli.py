@@ -292,9 +292,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list) -> list:
+    """``--flag -1e0`` as ``--flag=-1e0``: argparse reads a token that
+    starts with '-' as an option unless it looks like -1 or -1.5, so a
+    negative value in exponent form (or -inf) would not reach its flag."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (ParameterError, DataFormatError, OSError) as exc:

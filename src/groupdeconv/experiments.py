@@ -27,7 +27,7 @@ from .bandwidth import (
     scan_grid,
 )
 from .errors import GroupDeconvError, ParameterError
-from .inversion import XGrid, centred_xgrid, oracle_risks
+from .inversion import OracleTable, XGrid, centred_xgrid, oracle_risks, oracle_table
 from .rootlog import feasible_root
 from .samples import TestLaw, benchmark_laws, generate_grouped
 
@@ -36,6 +36,7 @@ __all__ = [
     "ReplicationResult",
     "RiskReport",
     "law_xgrid",
+    "cell_table",
     "run_replication",
     "run_grid",
     "resolve_workers",
@@ -103,12 +104,21 @@ def law_xgrid(law: TestLaw) -> XGrid:
     return centred_xgrid(law.mean, math.sqrt(law.variance))
 
 
+def cell_table(law: TestLaw, n: int, group_size: int) -> OracleTable:
+    """The oracle's x-side for one cell: ``law``'s density on ``law_xgrid(law)``
+    up to the top of the cell's scan grid, which every replication's root
+    is read on."""
+    grid = scan_grid(n, group_size)
+    return oracle_table(law.pdf, law_xgrid(law), grid.step, grid.n_half)
+
+
 def run_replication(
     law: TestLaw,
     n: int,
     group_size: int,
     eta: float = DEFAULT_ETA,
     seed=0,
+    table: OracleTable | None = None,
 ) -> ReplicationResult:
     """One sample, both estimators, both risks (same sample, same x-grid
     ``law_xgrid(law)``).
@@ -116,12 +126,13 @@ def run_replication(
     One spread of the sample serves the threshold scan and the root, which
     is read on the scan grid, so the root's step is MAX_STEP.  The adaptive
     risk is the last ``oracle_risks`` entry: m_hat is scored after the grid.
+    ``table`` is the cell's ``cell_table``, built here when not given.
     """
     sample = generate_grouped(law, n, group_size, seed)
     ecf = cap_spread(sample)
     record = adaptive_cutoff(ecf, eta)
     m_hat = record.value
-    ev = ecf.read(scan_grid(sample))
+    ev = ecf.read(scan_grid(n, group_size))
     if m_hat < ev.grid.step:
         raise GroupDeconvError(
             f"adaptive cutoff {m_hat:.3g} is below one grid step; "
@@ -131,7 +142,9 @@ def run_replication(
     root, _violation = feasible_root(ev)
     cap = cutoff_cap(n, sample.group_size)
     candidates = np.append(default_oracle_grid(min(cap, root.u_limit)), min(m_hat, root.u_limit))
-    ms, risks = oracle_risks(root, law.pdf, candidates, law_xgrid(law))
+    if table is None:
+        table = cell_table(law, n, group_size)
+    ms, risks = oracle_risks(root, table, candidates)
     best = int(np.argmin(risks))
     return ReplicationResult(
         risk_adaptive=float(risks[-1]),
@@ -161,13 +174,16 @@ def resolve_workers() -> int:
 
 
 def _run_cell_block(task):
-    """Worker entry: one block of replications of one cell of the grid."""
+    """Worker entry: one block of replications of one cell of the grid,
+    all scored against one ``cell_table``."""
     grid, cell_idx, reps = task
     law, n, k = grid.cells[cell_idx]
+    table = cell_table(law, n, k)
     out = []
     for rep in reps:
         try:
-            out.append(run_replication(law, n, k, grid.eta, seed=(grid.master_seed, cell_idx, rep)))
+            seed = (grid.master_seed, cell_idx, rep)
+            out.append(run_replication(law, n, k, grid.eta, seed, table))
         except GroupDeconvError as exc:
             out.append(f"{type(exc).__name__}: {exc} [law={law.label} n={n} K={k} rep={rep}]")
     return out

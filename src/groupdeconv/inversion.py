@@ -13,7 +13,10 @@ evaluated by FFT; each x-point's value is still the same u-quadrature.
 ``oracle_risks`` scores many cutoffs of one root without inverting any of
 them: the inversions are nested prefixes of one spectrum, so their
 trapezoid L2 risks on the x-grid are quadratic forms in the root values
-(see its docstring).
+(see its docstring).  What those forms need of the density and the x-grid
+alone, ``oracle_table`` builds once per density, x-grid, root step and
+largest grid index, so a simulation cell builds it once and each of its
+samples pays only for its own root.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ __all__ = [
     "invert",
     "l2_distance",
     "oracle_risks",
+    "oracle_table",
 ]
 
 
@@ -50,6 +54,9 @@ X_COUNT = 1024
 # Rows per block of oracle_risks' lower-triangular Hankel sums: bounds its
 # working set to a square of this many rows.
 _HANKEL_BLOCK = 128
+# An oracle table keeps the Hankel blocks that start below this grid index
+# (8 MiB of them); oracle_risks cuts any later block from T on each call.
+_HANKEL_KEPT = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -147,16 +154,22 @@ class DensityEstimate:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _cutoff_index(root: RootEstimate, m: float) -> int:
-    """The grid index the inversion at m integrates to: the root's last grid point <= m."""
-    if not (m > 0):
-        raise ParameterError(f"cutoff m must be > 0 (got {m})")
-    if m > root.u_limit + root.grid.step * (1 + GRID_SLACK):
+def _cutoff_index(root: RootEstimate, ms):
+    """The grid index the inversion at each m integrates to: the root's last
+    grid point <= m, for one m or an array of them."""
+    ms = np.asarray(ms)
+    limit = root.u_limit + root.grid.step * (1 + GRID_SLACK)
+    flat = ms.ravel()
+    bad = np.flatnonzero(~((flat > 0) & (flat <= limit)))
+    if bad.size:
+        m = flat[bad[0]].item()
+        if not (m > 0):
+            raise ParameterError(f"cutoff m must be > 0 (got {m})")
         raise CutoffExceedsRange(
             f"cutoff m={m:.6g} exceeds the root estimate's range "
             f"[0, {root.u_limit:.6g}]"
         )
-    return root.grid.index_of(m)
+    return root.grid.index_of(ms)
 
 
 def invert(root: RootEstimate, m: float, xgrid: XGrid) -> DensityEstimate:
@@ -165,7 +178,7 @@ def invert(root: RootEstimate, m: float, xgrid: XGrid) -> DensityEstimate:
     The trapezoid weights over [0, m] (all zero when m is under one grid
     step) times the root values go through one chirp-z transform.
     """
-    k = _cutoff_index(root, m)
+    k = int(_cutoff_index(root, m))
     step = root.grid.step
     weights = np.zeros(k + 1)
     if k >= 1:
@@ -193,14 +206,83 @@ def l2_distance(values, density, xgrid: XGrid):
     return np.trapezoid((values - target) ** 2, dx=xgrid.spacing, axis=-1)
 
 
-def oracle_risks(root: RootEstimate, density, ms, xgrid: XGrid) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class OracleTable:
+    """The sums of ``oracle_risks`` that depend on the density, the x-grid
+    and the root step but not on the root, for grid indices up to ``top``.
+
+    ``t`` holds T(d) for d = 0 .. 2 top, ``phi`` Phi_j for j = 0 .. top,
+    ``weights`` the x-grid's trapezoid weights c_i, ``energy`` sum_i c_i
+    f_i^2, and ``blocks[r]`` the strictly lower triangle of the Hankel block
+    T(k + l), r <= k, l < r + _HANKEL_BLOCK, for the blocks the scorer cuts
+    below _HANKEL_KEPT (see ``oracle_risks``).
+    """
+
+    xgrid: XGrid
+    step: float
+    top: int
+    energy: float
+    weights: np.ndarray
+    t: np.ndarray
+    phi: np.ndarray
+    blocks: dict
+
+
+def _lower_hankel(t: np.ndarray, r: int, e: int) -> np.ndarray:
+    """The strictly lower triangle of the Hankel block T(k + l), r <= k, l < e."""
+    return np.tril(sliding_window_view(t[2 * r : 2 * e - 1], e - r), -1)
+
+
+def _hankel_blocks(top: int, count: int):
+    """(lo, hi, r, e): the scorer's Hankel blocks [r, e) within its runs
+    [lo, hi) of one x-grid's count of grid indices up to ``top``."""
+    for lo in range(0, top + 1, count):
+        hi = min(lo + count, top + 1)
+        for r in range(lo, hi, _HANKEL_BLOCK):
+            yield lo, hi, r, min(r + _HANKEL_BLOCK, hi)
+
+
+def oracle_table(density, xgrid: XGrid, step: float, top: int) -> OracleTable:
+    """The x-side of ``oracle_risks`` for ``density`` (a callable or its
+    values on the x-grid), roots of step ``step`` and cutoffs up to grid
+    index ``top``: built once per density, x-grid and step, and read by
+    every root scored on it.
+
+    T and Phi are one two-row chirp-z transform of the trapezoid weights,
+    plain and times the density, with the phase taken back to the x-grid's
+    midpoint.
+    """
+    if not (step > 0 and top >= 0):
+        raise ParameterError(f"an oracle table needs step > 0 and top >= 0 (got {step}, {top})")
+    target = density(xgrid.points) if callable(density) else np.asarray(density)
+    weights = np.full(xgrid.count, xgrid.spacing)
+    weights[[0, -1]] /= 2.0
+    half = 0.5 * (xgrid.x_max - xgrid.x_min)
+    # sum_i row_i e^{-i (d s)(i dx)}, then the phase back to the midpoint
+    sums = chirp_z(np.stack([weights, weights * target]), xgrid.spacing, 0.0, step, 2 * top + 1)
+    sums *= np.exp(1j * half * step * np.arange(2 * top + 1))
+    t = sums[0].real
+    blocks = {
+        r: _lower_hankel(t, r, e)
+        for _lo, _hi, r, e in _hankel_blocks(top, xgrid.count)
+        if r < _HANKEL_KEPT
+    }
+    return OracleTable(
+        xgrid, step, top, l2_distance(0.0, target, xgrid), weights, t, sums[1, : top + 1], blocks
+    )
+
+
+def oracle_risks(root: RootEstimate, table: OracleTable, ms) -> tuple[np.ndarray, np.ndarray]:
     """Exact-density L2 risks at several cutoffs sharing one root.
 
     Returns (grid cutoffs, risks), one entry per entry of ``ms`` in the
     order given: the root's last grid point <= m and ``l2_distance(invert(
-    root, m, xgrid).values, density, xgrid)``, computed from the root's
-    spectrum without inverting any cutoff.  An empty ``ms`` raises
-    ParameterError.
+    root, m, table.xgrid).values, density, table.xgrid)``, computed from the
+    root's spectrum without inverting any cutoff.  ``table`` is
+    ``oracle_table(density, xgrid, root.grid.step, top)`` for any ``top`` at
+    or past the largest candidate's grid index; the table holds what does not
+    depend on the root, and this call what does.  An empty ``ms``, or a
+    table of another step or too small a ``top``, raises ParameterError.
 
     With c_i the x-grid's trapezoid weights, f_i the density, xi_i = x_i - mid
     about the grid's midpoint, s the root step and g_j = s phi_hat_X(u_j)
@@ -212,63 +294,62 @@ def oracle_risks(root: RootEstimate, density, ms, xgrid: XGrid) -> tuple[np.ndar
              pi L(k) = Re sum_{j <= k} a_j Phi_j
 
     for T(d) = sum_i c_i e^{-i xi_i d s} (real: c is symmetric) and Phi_j =
-    sum_i c_i f_i e^{-i xi_i j s}, both from one two-row chirp-z transform.
+    sum_i c_i f_i e^{-i xi_i j s}, both read from the table.
     Q and L are cumulative sums over k, the halved end weight a correction
     read at row k.  Q's terms need the Toeplitz and Hankel row sums of g
     against T up to k: within one x-grid's count of indices a causal
-    convolution and lower-triangular blocks of the view T(k + l), and
-    through the partial inversion on the x-grid for the indices before
-    that (T's matrices have rank <= the count), so the cost is linear in
-    the largest index past it.  Index 0 inverts to zero: risk sum_i c_i
-    f_i^2.  The sums cancel by about that energy over the risk, and a risk
-    is good to ~1e-15 of the energy.  Cutoffs sharing a grid point get
-    bitwise-equal risks.
+    convolution and lower-triangular blocks of the view T(k + l) (the
+    table's, or cut per call past _HANKEL_KEPT), and through the partial
+    inversion on the x-grid for the indices before that (T's matrices have
+    rank <= the count), so the cost is linear in the largest index past it.
+    Index 0 inverts to zero: risk sum_i c_i f_i^2.  The sums cancel by
+    about that energy over the risk, and a risk is good to ~1e-15 of the
+    energy.  Cutoffs sharing a grid point get bitwise-equal risks.
     """
     if len(ms) == 0:
         raise ParameterError("no cutoff candidates to score")
-    ks = np.array([_cutoff_index(root, m) for m in ms])
-    target = density(xgrid.points) if callable(density) else np.asarray(density)
-    energy = l2_distance(0.0, target, xgrid)
-    top = int(ks.max())
-    risks = np.full(top + 1, energy)
+    ks = _cutoff_index(root, ms)
+    step, top = root.grid.step, int(ks.max())
+    if step != table.step or top > table.top:
+        raise ParameterError(
+            f"the oracle table (step {table.step:g}, top index {table.top}) does not "
+            f"cover this root (step {step:g}) up to grid index {top}"
+        )
+    xgrid, t = table.xgrid, table.t
+    risks = np.full(top + 1, table.energy)
     if top >= 1:
-        step = root.grid.step
         u = np.arange(top + 1) * step
         mid = 0.5 * (xgrid.x_min + xgrid.x_max)
         half = 0.5 * (xgrid.x_max - xgrid.x_min)
-        trap = np.full(xgrid.count, xgrid.spacing)
-        trap[[0, -1]] /= 2.0
-        # sum_i row_i e^{-i (d s)(i dx)}, then the phase back to the midpoint
-        sums = chirp_z(np.stack([trap, trap * target]), xgrid.spacing, 0.0, step, 2 * top + 1)
-        sums *= np.exp(1j * half * step * np.arange(2 * top + 1))
-        t, phi = sums[0].real, sums[1, : top + 1]
         g = step * root.modulus_pow[: top + 1] * np.exp(1j * (root.phase[: top + 1] - mid * u))
         g[0] /= 2.0
+        pairs = g.view(float).reshape(-1, 2)  # (Re g, Im g): a real block times g in one product
 
-        # rows[k] = sum_{l <= k} conj(g_l) T(k - l) + sum_{l < k} g_l T(k + l),
-        # from numpy's own sums: threaded BLAS is slower at these sizes
+        # rows[k] = sum_{l <= k} conj(g_l) T(k - l) + sum_{l < k} g_l T(k + l)
         rows = np.zeros(top + 1, dtype=complex)
-        hankel = sliding_window_view(t, top + 1)
         partial = np.zeros(xgrid.count)  # Re sum_{l < lo} g_l e^{-i xi u_l}
-        for lo in range(0, top + 1, xgrid.count):
-            hi = min(lo + xgrid.count, top + 1)
-            if lo:
-                back = chirp_z((2.0 * trap * partial)[np.newaxis], xgrid.spacing, lo * step, step, hi - lo)
-                rows[lo:hi] = back[0] * np.exp(1j * half * u[lo:hi])
-            rows[lo:hi] += np.convolve(np.conj(g[lo:hi]), t[: hi - lo])[: hi - lo]
-            for r in range(lo, hi, _HANKEL_BLOCK):
-                e = min(r + _HANKEL_BLOCK, hi)
-                if r > lo:  # the columns lo <= l < r: a correlation
-                    rows[r:e] += np.correlate(t[lo + r : r + e - 1], np.conj(g[lo:r]))
-                rows[r:e] += (np.tril(hankel[r:e, r:e], -1) * g[r:e]).sum(axis=1)
-            if hi <= top:
+        for lo, hi, r, e in _hankel_blocks(top, xgrid.count):
+            if r == lo:  # a run's first block: the whole run's Toeplitz sums
+                if lo:
+                    back = chirp_z(
+                        (2.0 * table.weights * partial)[np.newaxis], xgrid.spacing, lo * step, step, hi - lo
+                    )
+                    rows[lo:hi] = back[0] * np.exp(1j * half * u[lo:hi])
+                rows[lo:hi] += np.convolve(np.conj(g[lo:hi]), t[: hi - lo])[: hi - lo]
+            else:  # the columns lo <= l < r: a correlation
+                rows[r:e] += np.correlate(t[lo + r : r + e - 1], np.conj(g[lo:r]))
+            block = table.blocks.get(r)
+            if block is None:
+                block = _lower_hankel(t, r, e)
+            rows[r:e] += (block[: e - r, : e - r] @ pairs[r:e]).view(complex)[:, 0]
+            if e == hi < top + 1:
                 partial += chirp_z(g[np.newaxis, lo:hi], step, -half, xgrid.spacing, xgrid.count, lo)[0].real
 
         cross = (g * rows).real
         diag = np.abs(g) ** 2 * t[0]
-        anti = (g * g * t[::2]).real
+        anti = (g * g * t[: 2 * top + 1 : 2]).real
         quad = np.cumsum(2.0 * cross - diag + anti) - cross + diag / 4.0 - 0.75 * anti
-        lin = (g * phi).real
+        lin = (g * table.phi[: top + 1]).real
         lin = np.cumsum(lin) - lin / 2.0
-        risks[1:] = (quad / (2.0 * math.pi**2) - 2.0 * lin / math.pi + energy)[1:]
-    return ks * root.grid.step, risks[ks]
+        risks[1:] = (quad / (2.0 * math.pi**2) - 2.0 * lin / math.pi + table.energy)[1:]
+    return ks * step, risks[ks]

@@ -30,6 +30,7 @@ from .errors import DenominatorTooSmall, ParameterError
 
 __all__ = [
     "MAX_STEP",
+    "ROOT_MODES",
     "RootEstimate",
     "default_step",
     "root_grid",
@@ -49,6 +50,15 @@ PHASE_STEP_BOUND = math.pi / 4.0
 # constant mean|Y|, so this is adequate for anything but extreme scales.
 MAX_STEP = 0.01
 
+# The most positive modes a root grid may hold.  The rules of the package
+# ask for root_grid(cap), 100 cap + 1 modes past cap = 40.96: at K = 1 the
+# cap bandwidth.K1_CAP = 1000 gives 100001 modes, and at K = 2 the cap
+# sqrt(n) passes that from n = 10^6.  Two doublings above 100001, the
+# budget holds the K = 2 cap up to n = 6.9 * 10^6 and a fixed m up to
+# 2621, and the read of such a grid peaks near 130 MB (about 400 bytes a
+# mode, measured).
+ROOT_MODES = 1 << 18
+
 
 def default_step(u_range: float) -> float:
     """Default grid step for a requested frequency range."""
@@ -60,7 +70,8 @@ def root_grid(m: float) -> UGrid:
 
     The ECF read on it scales phi_hat' by 1 / (m + step)^2 (see
     ``_fourier.GaussianSpread.grid``), so a cutoff whose reach squared is
-    not a normal double is rejected.
+    not a normal double is rejected, and so is one whose grid holds more
+    than ROOT_MODES positive modes.
     """
     step = default_step(m)
     reach = m + step
@@ -68,6 +79,11 @@ def root_grid(m: float) -> UGrid:
         raise ParameterError(
             f"cutoff m={m:g} is too small: the square of its grid's reach "
             f"{reach:g} is below the smallest normal double"
+        )
+    if not reach / step + GRID_SLACK < ROOT_MODES + 1:
+        raise ParameterError(
+            f"cutoff m={m:g} is too large: its root grid would hold "
+            f"{reach / step:.6g} modes at step {step:g}, past the budget of {ROOT_MODES}"
         )
     return UGrid(reach, step)
 

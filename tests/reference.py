@@ -5,6 +5,7 @@ import numpy as np
 
 from groupdeconv.bandwidth import scan_grid
 from groupdeconv.charfn import SpreadEcf
+from groupdeconv.inversion import oracle_risks, oracle_table
 from groupdeconv.rootlog import RootEstimate
 
 
@@ -19,6 +20,11 @@ def evaluate_grid(sample, grid):
     """phi_hat and phi_hat' on a grid, from a spread of the sample up to the
     grid's u_max."""
     return SpreadEcf(sample, grid.u_max).read(grid)
+
+
+def root_oracle_risks(root, density, ms, xgrid):
+    """``oracle_risks`` of ``ms`` against a table built for this one root."""
+    return oracle_risks(root, oracle_table(density, xgrid, root.grid.step, root.grid.n_half), ms)
 
 
 def ecf_derivative_at(sample, u):
@@ -44,7 +50,7 @@ def bisect_crossing(sample, level, lo, hi, xtol=1e-13):
 
 def scan_bracket(sample, level):
     """The scan grid points around the first |phi_hat| <= ``level``."""
-    ev = evaluate_grid(sample, scan_grid(sample))
+    ev = evaluate_grid(sample, scan_grid(sample.n, sample.group_size))
     k = int(np.flatnonzero(ev.abs_phi <= level)[0])
     return ev.grid.points[k - 1], ev.grid.points[k]
 

@@ -20,7 +20,7 @@ from groupdeconv.bandwidth import (
 )
 from groupdeconv.charfn import UGrid
 from groupdeconv.errors import LevelNotReached, ParameterError
-from groupdeconv.inversion import XGrid, default_xgrid, invert, l2_distance, oracle_risks
+from groupdeconv.inversion import XGrid, default_xgrid, invert, l2_distance
 from groupdeconv.rootlog import default_step, feasible_root
 from groupdeconv.samples import (
     Gamma,
@@ -30,7 +30,13 @@ from groupdeconv.samples import (
     generate_grouped,
     make_rng,
 )
-from reference import bisect_crossing, evaluate_grid, root_from_values, scan_bracket
+from reference import (
+    bisect_crossing,
+    evaluate_grid,
+    root_from_values,
+    root_oracle_risks,
+    scan_bracket,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +145,7 @@ def test_adaptive_cutoff_refines_a_crossing_just_below_the_cap():
     cap = cutoff_cap(1000, 5.0)
     m = adaptive_cutoff(cap_spread(s)).value
     wide = GroupedSample(s.observations * (m / (cap - 0.0005)), 5.0)
-    grid = scan_grid(wide)
+    grid = scan_grid(wide.n, wide.group_size)
     assert grid.points[grid.index_of(cap - 0.0005) + 1] > cap
     rec = adaptive_cutoff(cap_spread(wide))
     assert rec.threshold_hit
@@ -203,7 +209,7 @@ def sample_root(s, u_max, step):
 def test_oracle_singleton_grid():
     law = Normal(2.0, 1.0)
     s = generate_grouped(law, 500, 2, seed=3)
-    ms, risks = oracle_risks(sample_root(s, 1.3, 0.01), law.pdf, [1.3], default_xgrid(s))
+    ms, risks = root_oracle_risks(sample_root(s, 1.3, 0.01), law.pdf, [1.3], default_xgrid(s))
     assert ms == pytest.approx([1.3], abs=0.01)
     assert risks.shape == (1,) and np.isfinite(risks[0])
 
@@ -214,7 +220,7 @@ def test_oracle_on_noiseless_root_picks_largest_m():
     grid = UGrid(8.0, 0.002)
     root = root_from_values(grid, law.cf(grid.points), 1.0)
     xg = XGrid(-4.0, 8.0, 513)
-    ms, risks = oracle_risks(root, law.pdf, [1.0, 2.0, 4.0, 8.0], xg)
+    ms, risks = root_oracle_risks(root, law.pdf, [1.0, 2.0, 4.0, 8.0], xg)
     assert ms[np.argmin(risks)] == pytest.approx(8.0)
     assert np.all(np.diff(risks) <= 1e-8)
 
@@ -225,7 +231,7 @@ def test_oracle_ties_break_toward_smaller_m():
     root = root_from_values(grid, law.cf(grid.points), 1.0)
     xg = XGrid(-4.0, 8.0, 129)
     # 1.5 and 1.5005 share a grid point, where the noiseless risk is least
-    ms, risks = oracle_risks(root, law.pdf, [1.0, 1.5, 1.5005], xg)
+    ms, risks = root_oracle_risks(root, law.pdf, [1.0, 1.5, 1.5005], xg)
     assert ms[1] == ms[2] == pytest.approx(1.5)
     assert risks[1] == risks[2]
     assert np.argmin(risks) == 1
@@ -237,7 +243,7 @@ def test_oracle_risks_one_per_candidate_in_the_order_given():
     root = sample_root(s, 3.0, 0.01)
     xg = default_xgrid(s)
     ms = [2.2, 0.4, 3.0, 1.234, 0.4, 0.9]
-    cutoffs, risks = oracle_risks(root, law.pdf, ms, xg)
+    cutoffs, risks = root_oracle_risks(root, law.pdf, ms, xg)
     assert cutoffs.tolist() == [root.grid.index_of(m) * root.grid.step for m in ms]
     assert cutoffs.tolist() == pytest.approx([2.2, 0.4, 3.0, 1.23, 0.4, 0.9])
     for m, risk in zip(ms, risks):
@@ -255,7 +261,7 @@ def test_oracle_beats_or_matches_adaptive_when_injected():
         root = sample_root(s, cap, default_step(cap))
         xg = default_xgrid(s)
         candidates = np.append(default_oracle_grid(min(cap, root.u_limit)), rec_a.value)
-        _ms, risks = oracle_risks(root, law.pdf, candidates, xg)
+        _ms, risks = root_oracle_risks(root, law.pdf, candidates, xg)
         # by argmin dominance the oracle risk cannot exceed the adaptive one
         risk_a = l2_distance(invert(root, rec_a.value, xg).values, law.pdf, xg)
         assert risks.min() <= risk_a + 1e-6
@@ -265,7 +271,7 @@ def test_oracle_rejects_empty_grid():
     law = Normal(2.0, 1.0)
     s = generate_grouped(law, 200, 2, seed=1)
     with pytest.raises(ParameterError):
-        oracle_risks(sample_root(s, 1.0, 0.01), law.pdf, [], default_xgrid(s))
+        root_oracle_risks(sample_root(s, 1.0, 0.01), law.pdf, [], default_xgrid(s))
 
 
 def test_default_oracle_grid_shape():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from groupdeconv import charfn
 from groupdeconv._fourier import grid_spacing
 from groupdeconv.bandwidth import adaptive_cutoff, cap_spread, threshold_value
-from groupdeconv.charfn import CROSSING_XTOL, CfEvaluation, SpreadEcf, UGrid
+from groupdeconv.charfn import CROSSING_XTOL, GRID_SLACK, CfEvaluation, SpreadEcf, UGrid
 from groupdeconv.errors import ParameterError
 from groupdeconv.rootlog import MAX_STEP
 from groupdeconv.samples import GroupedSample, Gumbel, Normal, generate_grouped, make_rng
@@ -57,6 +57,10 @@ def test_grid_index_of():
     assert g.index_of(0.0) == 0
     assert g.index_of(1.234) == 123
     assert g.index_of(99.0) == g.n_half
+    # an array maps elementwise, as the scalar rule maps each point
+    us = [1.234, 0.0, 99.0, -1.0, 0.5, 1.999999999999]
+    scalar = [max(0, min(g.n_half, math.floor(u / g.step + GRID_SLACK))) for u in us]
+    assert g.index_of(us).tolist() == scalar == [123, 0, 200, 0, 50, 200]
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +251,14 @@ def test_point_read_matches_the_grid_read():
     ev = ecf.read(UGrid(5.5, 0.01))
     for k in (0, 1, 77, 300, 550):
         assert ecf.modulus(ev.grid.points[k]) == pytest.approx(ev.abs_phi[k], abs=1e-14)
+
+
+@pytest.mark.parametrize("u_max", [1e-160, 1e-200, 0.0, -1.0, math.inf, math.nan])
+def test_spread_refuses_a_reach_a_read_cannot_divide_by(u_max):
+    # a read scales phi_hat' by 1 / u_max^2: 1e-200 divided by zero and
+    # 1e-160 gave NaN before this was refused
+    with pytest.raises(ParameterError, match="normal double"):
+        SpreadEcf(normal_sum_sample(n=200), u_max)
 
 
 def test_read_past_the_spread_is_refused():

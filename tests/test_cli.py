@@ -182,6 +182,32 @@ def test_estimate_rejects_a_cutoff_too_small_to_read(tmp_path, normal_sum_file, 
     assert not (tmp_path / "e.json").exists()
 
 
+@pytest.mark.parametrize("m", ["1e+15", "1e+300"])
+def test_estimate_rejects_a_cutoff_past_the_root_grid_budget(tmp_path, normal_sum_file, capsys, m):
+    # 1e15 asked for 1e17 modes and 1e300 for more than an array may hold,
+    # each ending in a traceback
+    code = run_cli(
+        ["estimate", "--input", normal_sum_file, "--group-size", 5,
+         "--cutoff", f"fixed:{m}", "--out", tmp_path / "e"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"cutoff m={m} is too large" in err and "modes" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("x_min", ["-1e0", "-1E+0", "-10e-1"])
+def test_estimate_takes_a_negative_x_grid_end_in_exponent_form(tmp_path, normal_sum_file, x_min):
+    # argparse reads "-1e0" as an option unless it is attached to its flag
+    out = tmp_path / "e"
+    assert run_cli(
+        ["estimate", "--input", normal_sum_file, "--group-size", 5,
+         "--x-min", x_min, "--x-max", "2", "--out", out]
+    ) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["xgrid"]["x_min"] == -1.0
+
+
 def test_estimate_on_an_x_grid_of_tiny_spacing(tmp_path, normal_sum_file):
     # x-spacing times the root step is below 2^-1022: the chirp phases still
     # reduce exactly, and every value is f_m(0)

@@ -9,6 +9,7 @@ import groupdeconv
 from groupdeconv import experiments
 from groupdeconv.experiments import (
     ScenarioGrid,
+    cell_table,
     law_xgrid,
     resolve_workers,
     run_grid,
@@ -45,6 +46,30 @@ def test_replication_deterministic_given_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("k", [5, 50])
+def test_replication_scores_alike_with_and_without_the_cell_table(k):
+    for law in benchmark_laws().values():
+        table = cell_table(law, 1000, k)
+        for seed in range(3):
+            given = run_replication(law, 1000, k, seed=(9, seed), table=table)
+            alone = run_replication(law, 1000, k, seed=(9, seed))
+            assert given.threshold_hit == alone.threshold_hit
+            for name in ("risk_adaptive", "risk_oracle", "m_adaptive", "m_oracle"):
+                assert getattr(given, name) == pytest.approx(getattr(alone, name), rel=1e-13)
+
+
+def test_a_block_of_replications_builds_one_oracle_table(monkeypatch):
+    built = []
+    monkeypatch.delenv(experiments.THREADS_ENV, raising=False)
+    monkeypatch.setattr(
+        experiments, "cell_table", lambda *cell: built.append(cell) or cell_table(*cell)
+    )
+    grid = tiny_grid(replications=experiments.BLOCK_SIZE + 1)
+    run_grid(grid)
+    # two blocks per cell, one table each; no replication builds its own
+    assert sorted(built) == sorted(2 * [(law, n, k) for law, n, k in grid.cells])
+
+
 def test_replication_oracle_dominates_adaptive():
     # the adaptive cutoff is injected into the oracle grid, so the oracle
     # risk can never exceed the adaptive risk
@@ -58,7 +83,7 @@ def test_replication_adaptive_risk_is_the_inversion_at_m_hat():
     for seed in range(3):
         r = run_replication(law, 1000, 5, seed=(5, seed))
         ecf = cap_spread(generate_grouped(law, 1000, 5, (5, seed)))
-        root, _violation = feasible_root(ecf.read(scan_grid(ecf)))
+        root, _violation = feasible_root(ecf.read(scan_grid(ecf.n, ecf.group_size)))
         xg = law_xgrid(law)
         risk = l2_distance(invert(root, min(r.m_adaptive, root.u_limit), xg).values, law.pdf, xg)
         assert r.risk_adaptive == pytest.approx(risk, rel=1e-12)

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from groupdeconv.inversion import (
     invert,
     l2_distance,
     oracle_risks,
+    oracle_table,
 )
 from groupdeconv.rootlog import distinguished_root
 from groupdeconv.samples import Gamma, Normal, generate_grouped
-from reference import energy_u, energy_x, evaluate_grid, phi, root_from_values
+from reference import energy_u, energy_x, evaluate_grid, phi, root_from_values, root_oracle_risks
 
 
 def analytic_root(law, u_max, step, k=1.0):
@@ -193,12 +195,63 @@ def test_prefix_risks_match_single_inversions(case, law, fractions, data):
     root = prefix_case_root(case)
     ms = case_ms + [f * root.u_limit for f in fractions]
     ms = data.draw(st.permutations(ms + data.draw(st.lists(st.sampled_from(ms), max_size=3))))
-    cutoffs, risks = oracle_risks(root, law.pdf, ms, xg)
+    cutoffs, risks = root_oracle_risks(root, law.pdf, ms, xg)
     assert cutoffs.tolist() == [root.grid.index_of(m) * root.grid.step for m in ms]
     alone = [l2_distance(invert(root, m, xg).values, law.pdf, xg) for m in ms]
     np.testing.assert_allclose(risks, alone, rtol=1e-12, atol=1e-15)
     for m, risk in zip(ms, risks):
         assert risk == risks[ms.index(m)]
+
+
+@pytest.mark.parametrize("case", PREFIX_CASES)
+def test_oracle_table_for_a_larger_top_scores_like_a_fresh_one(case):
+    # the scorer reads prefixes of T, Phi and the Hankel blocks of a table
+    # built for a larger top; with no blocks kept it cuts each one from T
+    _make_root, xg, ms = PREFIX_CASES[case]
+    root = prefix_case_root(case)
+    density = Normal(2.0, 1.0).pdf
+    fresh = oracle_table(density, xg, root.grid.step, root.grid.n_half)
+    larger = oracle_table(density, xg, root.grid.step, 3 * root.grid.n_half + 7)
+    cutoffs, want = oracle_risks(root, fresh, ms)
+    for table in (larger, replace(fresh, blocks={})):
+        got_cutoffs, got = oracle_risks(root, table, ms)
+        assert got_cutoffs.tolist() == cutoffs.tolist()
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def test_oracle_table_of_another_step_or_too_small_a_top_is_refused():
+    law = Normal(2.0, 1.0)
+    root = analytic_root(law, 4.0, 0.01)
+    xg = XGrid(-3.0, 7.0, 128)
+    with pytest.raises(ParameterError, match="step 0.02"):
+        oracle_risks(root, oracle_table(law.pdf, xg, 0.02, root.grid.n_half), [1.0])
+    table = oracle_table(law.pdf, xg, 0.01, 150)
+    oracle_risks(root, table, [0.5, 1.5])  # grid index 150 is the table's top
+    with pytest.raises(ParameterError, match="top index 150.* up to grid index 151"):
+        oracle_risks(root, table, [0.5, 1.51])
+    with pytest.raises(ParameterError, match="step > 0 and top >= 0"):
+        oracle_table(law.pdf, xg, 0.0, 150)
+
+
+def test_candidates_sharing_a_grid_index_get_bitwise_equal_risks():
+    root = prefix_case_root("fewer-u-modes-than-x")
+    law = Gamma(6.0, 3.0)
+    xg = XGrid(-1.0, 5.0, 1024)
+    ms = [1.0, 1.004, 0.5, 1.0099, 0.501, 1.005, 0.509]
+    cutoffs, risks = root_oracle_risks(root, law.pdf, ms, xg)
+    assert cutoffs.tolist() == pytest.approx([1.0, 1.0, 0.5, 1.0, 0.5, 1.0, 0.5])
+    assert risks[0] == risks[1] == risks[3] == risks[5]
+    assert risks[2] == risks[4] == risks[6] != risks[0]
+
+
+def test_oracle_names_the_first_candidate_off_the_grid():
+    law = Normal(2.0, 1.0)
+    root = analytic_root(law, 2.0, 0.01)
+    xg = XGrid(-3.0, 7.0, 128)
+    with pytest.raises(CutoffExceedsRange, match="m=9 exceeds"):
+        root_oracle_risks(root, law.pdf, [1.0, 9.0, -1.0, 12.0], xg)
+    with pytest.raises(ParameterError, match=r"m must be > 0 \(got -1.0\)"):
+        root_oracle_risks(root, law.pdf, [1.0, -1.0, 9.0], xg)
 
 
 def test_monotone_truncation_on_analytic_input():

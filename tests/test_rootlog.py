@@ -1,15 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from groupdeconv.bandwidth import K1_CAP, cutoff_cap
 from groupdeconv.charfn import CfEvaluation, UGrid
 from groupdeconv.errors import DenominatorTooSmall, ParameterError
 from groupdeconv.rootlog import (
+    ROOT_MODES,
     _centered_psi,
     default_step,
     denominator_floor,
     distinguished_root,
     feasible_root,
+    root_grid,
 )
 from groupdeconv.samples import Gamma, GroupedSample, Laplace, Normal, generate_grouped
 from reference import evaluate_grid, phi
@@ -189,6 +194,21 @@ def test_phase_increment_warning():
     cf = analytic_eval(law, 2.0, 0.05)
     root = distinguished_root(cf, 2.0)
     assert root.warnings, "expected phase-step sanity records"
+
+
+def test_root_grid_budget_holds_the_caps_the_rules_ask_for():
+    # the oracle's root grid at K = 1, and at K = 2 the cap sqrt(n) to n = 6.8e6
+    assert root_grid(K1_CAP).n_half <= ROOT_MODES
+    assert root_grid(cutoff_cap(6_800_000, 2.0)).n_half <= ROOT_MODES
+    assert root_grid(2621.0).n_half <= ROOT_MODES
+
+
+@pytest.mark.parametrize("m", [2622.0, 1e5, 1e7, 1e15, 1e300])
+def test_root_grid_refuses_a_cutoff_past_the_budget(m):
+    # no grid is built: 1e7 asked for 1e9 modes, 1e300 for more than an
+    # array may hold
+    with pytest.raises(ParameterError, match=re.escape(f"cutoff m={m:g} is too large") + ".* modes"):
+        root_grid(m)
 
 
 def test_default_step():
