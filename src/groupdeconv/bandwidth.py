@@ -5,13 +5,13 @@ The adaptive cutoff is the first frequency at which |phi_hat| drops to
 
     t(n, K, eta) = (K n)^{-1/2} + sqrt(eta * log(n) / K) * n^{-1/2},
 
-capped at n^{1/K}.  Past that level the empirical characteristic function
-is noise-dominated and the K-th root cannot be estimated, so the spectrum
-is cut there.  The oracle cutoff minimizes the exact L2 risk over a cutoff
-grid and is computable only when the true density is known (simulation
-benchmarking).  The diagnostic threshold locates where the *exact* |phi|
-crosses a theoretical level, for comparing the data-driven cutoff against
-what the risk analysis predicts.
+capped at n^{1/K} and K1_CAP.  Past that level the empirical characteristic
+function is noise-dominated and the K-th root cannot be estimated, so the
+spectrum is cut there.  The oracle cutoff minimizes the exact L2 risk over
+a cutoff grid and is computable only when the true density is known; one
+``oracle_root`` serves ``estimate`` and the simulation.  The diagnostic
+threshold locates where the *exact* |phi| crosses a theoretical level, for
+comparing the data-driven cutoff against what the risk analysis predicts.
 """
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ __all__ = [
     "adaptive_cutoff",
     "estimate",
     "default_oracle_grid",
+    "oracle_root",
     "diagnostic_level",
     "diagnostic_threshold_u",
 ]
@@ -44,7 +45,7 @@ __all__ = [
 # The adaptive threshold constant eta wherever no caller sets one.
 DEFAULT_ETA = 1.1
 
-# For K == 1 the cap n^{1/K} = n would be impractically large.
+# The cap at every K: near K = 1, n^{1/K} is about n.
 K1_CAP = 1000.0
 
 # The diagnostic bracketing scan gives up past this frequency.
@@ -56,13 +57,12 @@ class CutoffRecord:
     """A chosen cutoff plus how it was chosen.
 
     ``threshold_hit`` is False when the adaptive scan never crossed its
-    threshold and the cap n^{1/K} was returned instead.
+    threshold and the cap ``cutoff_cap`` was returned instead.
     """
 
     value: float
     rule: str  # adaptive | oracle
     threshold_hit: bool
-    scan_resolution: float
     params: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -70,7 +70,7 @@ class CutoffRecord:
             "value": self.value,
             "rule": self.rule,
             "threshold_hit": self.threshold_hit,
-            "scan_resolution": self.scan_resolution,
+            "scan_resolution": MAX_STEP,
             **self.params,
         }
 
@@ -92,10 +92,8 @@ def threshold_value(n: int, group_size: float, eta: float) -> float:
 
 
 def cutoff_cap(n: int, group_size: float) -> float:
-    """n^{1/K}, replaced by K1_CAP when K == 1."""
-    if group_size == 1.0:
-        return float(min(n, K1_CAP))
-    return float(n) ** (1.0 / group_size)
+    """n^{1/K}, at most K1_CAP."""
+    return min(float(n) ** (1.0 / group_size), K1_CAP)
 
 
 def scan_grid(n: int, group_size: float) -> UGrid:
@@ -112,7 +110,7 @@ def cap_spread(sample: GroupedSample) -> SpreadEcf:
 
 def adaptive_cutoff(ecf: SpreadEcf, eta: float = DEFAULT_ETA) -> CutoffRecord:
     """Data-driven cutoff: scan |phi_hat| on ``scan_grid``, refine the first
-    threshold crossing by bisecting ``SpreadEcf.modulus``, cap at n^{1/K}.
+    threshold crossing by bisecting ``SpreadEcf.modulus``, cap at ``cutoff_cap``.
 
     ``ecf`` is the sample's spread, e.g. ``cap_spread(sample)``.  A
     threshold >= |phi_hat(0)| = 1 leaves no cutoff > 0: ParameterError.
@@ -134,8 +132,8 @@ def adaptive_cutoff(ecf: SpreadEcf, eta: float = DEFAULT_ETA) -> CutoffRecord:
     if k < u.size and u[k - 1] < cap:
         value = bisect_crossing(ecf.modulus, t, u[k - 1], u[k])
     if value >= cap:
-        return CutoffRecord(cap, "adaptive", False, MAX_STEP, params)
-    return CutoffRecord(value, "adaptive", True, MAX_STEP, params)
+        return CutoffRecord(cap, "adaptive", False, params)
+    return CutoffRecord(value, "adaptive", True, params)
 
 
 def default_oracle_grid(u_hi: float) -> np.ndarray:
@@ -146,6 +144,16 @@ def default_oracle_grid(u_hi: float) -> np.ndarray:
     return np.geomspace(0.25, u_hi, 60)
 
 
+def oracle_root(ecf: SpreadEcf, extra=()):
+    """(root, candidates, violation) of the oracle: the ``feasible_root`` on
+    the ``scan_grid``, ``default_oracle_grid`` up to ``cutoff_cap`` or the
+    root's end if lower, then each of ``extra`` held to the root's end."""
+    root, violation = feasible_root(ecf.read(scan_grid(ecf.n, ecf.group_size)))
+    u_hi = root.u_limit
+    candidates = default_oracle_grid(min(cutoff_cap(ecf.n, ecf.group_size), u_hi))
+    return root, np.append(candidates, np.minimum(extra, u_hi)), violation
+
+
 def estimate(
     sample: GroupedSample, xgrid: XGrid, cutoff="adaptive", eta=DEFAULT_ETA, law=None
 ) -> DensityEstimate:
@@ -154,29 +162,25 @@ def estimate(
 
     ``cutoff`` is "adaptive" (the threshold rule at ``eta``), a fixed m > 0,
     or "oracle": the grid cutoff at the first argmin of the ``oracle_risks``
-    against ``law``'s density over ``default_oracle_grid`` up to the cap
-    n^{1/K}; its record counts the distinct grid cutoffs (``candidates``).
-    The oracle scores one feasible root on ``root_grid(cap)`` against one
-    ``oracle_table`` built for it, inverts that root, and records where |phi_hat| hit the integration floor (``truncated_at``);
-    the other rules invert a root on ``root_grid(m)``.  The adaptive and
-    oracle rules spread the sample up to the cap plus MAX_STEP, a fixed m
-    as far as ``root_grid(m)``.
+    against ``law``'s density over the ``oracle_root`` candidates; its
+    record counts the distinct grid cutoffs (``candidates``).  The oracle
+    inverts the scan-grid root it scored, so the recorded risk is that of
+    the values returned, and records where |phi_hat| hit the integration
+    floor (``truncated_at``); the other rules invert a root on
+    ``root_grid(m)``.  The adaptive and oracle rules spread the sample up to
+    the cap plus MAX_STEP, a fixed m as far as ``root_grid(m)``.
     """
     check_eta(eta)
     if cutoff == "oracle":
         if law is None:
             raise ParameterError("cutoff='oracle' needs the true law (law=)")
-        cap = cutoff_cap(sample.n, sample.group_size)
-        grid = root_grid(cap)
-        root, violation = feasible_root(cap_spread(sample).read(grid))
-        candidates = default_oracle_grid(min(cap, root.u_limit))
-        table = oracle_table(law.pdf, xgrid, grid.step, root.grid.n_half)
-        cutoffs, risks = oracle_risks(root, table, candidates)
+        root, candidates, violation = oracle_root(cap_spread(sample))
+        cutoffs, risks = oracle_risks(root, oracle_table(law.pdf, xgrid, root.grid), candidates)
         best = int(np.argmin(risks))  # candidates ascend: smallest m on ties
         params = {"risk": float(risks[best]), "candidates": np.unique(cutoffs).size}
         if violation is not None:
             params["truncated_at"] = violation
-        record = CutoffRecord(float(cutoffs[best]), "oracle", True, grid.step, params)
+        record = CutoffRecord(float(cutoffs[best]), "oracle", True, params)
         m = record.value
     else:
         if cutoff == "adaptive":

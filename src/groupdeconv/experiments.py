@@ -22,13 +22,12 @@ from .bandwidth import (
     adaptive_cutoff,
     cap_spread,
     check_eta,
-    cutoff_cap,
-    default_oracle_grid,
+    oracle_root,
     scan_grid,
 )
 from .errors import GroupDeconvError, ParameterError
 from .inversion import OracleTable, XGrid, centred_xgrid, oracle_risks, oracle_table
-from .rootlog import feasible_root
+from .rootlog import MAX_STEP
 from .samples import TestLaw, benchmark_laws, generate_grouped
 
 __all__ = [
@@ -108,8 +107,7 @@ def cell_table(law: TestLaw, n: int, group_size: int) -> OracleTable:
     """The oracle's x-side for one cell: ``law``'s density on ``law_xgrid(law)``
     up to the top of the cell's scan grid, which every replication's root
     is read on."""
-    grid = scan_grid(n, group_size)
-    return oracle_table(law.pdf, law_xgrid(law), grid.step, grid.n_half)
+    return oracle_table(law.pdf, law_xgrid(law), scan_grid(n, group_size))
 
 
 def run_replication(
@@ -123,25 +121,22 @@ def run_replication(
     """One sample, both estimators, both risks (same sample, same x-grid
     ``law_xgrid(law)``).
 
-    One spread of the sample serves the threshold scan and the root, which
-    is read on the scan grid, so the root's step is MAX_STEP.  The adaptive
-    risk is the last ``oracle_risks`` entry: m_hat is scored after the grid.
+    One spread of the sample serves the threshold scan and ``oracle_root``,
+    whose root has step MAX_STEP.  The adaptive risk is the last
+    ``oracle_risks`` entry: m_hat is scored after the oracle's candidates.
     ``table`` is the cell's ``cell_table``, built here when not given.
     """
     sample = generate_grouped(law, n, group_size, seed)
     ecf = cap_spread(sample)
     record = adaptive_cutoff(ecf, eta)
     m_hat = record.value
-    ev = ecf.read(scan_grid(n, group_size))
-    if m_hat < ev.grid.step:
+    if m_hat < MAX_STEP:
         raise GroupDeconvError(
             f"adaptive cutoff {m_hat:.3g} is below one grid step; "
             f"the sample is too degenerate to invert"
         )
 
-    root, _violation = feasible_root(ev)
-    cap = cutoff_cap(n, sample.group_size)
-    candidates = np.append(default_oracle_grid(min(cap, root.u_limit)), min(m_hat, root.u_limit))
+    root, candidates, _violation = oracle_root(ecf, extra=(m_hat,))
     if table is None:
         table = cell_table(law, n, group_size)
     ms, risks = oracle_risks(root, table, candidates)

@@ -14,9 +14,9 @@ evaluated by FFT; each x-point's value is still the same u-quadrature.
 them: the inversions are nested prefixes of one spectrum, so their
 trapezoid L2 risks on the x-grid are quadratic forms in the root values
 (see its docstring).  What those forms need of the density and the x-grid
-alone, ``oracle_table`` builds once per density, x-grid, root step and
-largest grid index, so a simulation cell builds it once and each of its
-samples pays only for its own root.
+alone, ``oracle_table`` builds once per density, x-grid and root grid, so
+a simulation cell builds it once and each of its samples pays only for its
+own root.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._fourier import chirp_z
-from .charfn import GRID_SLACK
+from .charfn import GRID_SLACK, UGrid
 from .errors import CutoffExceedsRange, ParameterError
 from .rootlog import RootEstimate
 from .samples import GroupedSample
@@ -209,7 +209,7 @@ def l2_distance(values, density, xgrid: XGrid):
 @dataclass(frozen=True)
 class OracleTable:
     """The sums of ``oracle_risks`` that depend on the density, the x-grid
-    and the root step but not on the root, for grid indices up to ``top``.
+    and the root's ``grid`` but not on the root, up to top = ``grid.n_half``.
 
     ``t`` holds T(d) for d = 0 .. 2 top, ``phi`` Phi_j for j = 0 .. top,
     ``weights`` the x-grid's trapezoid weights c_i, ``energy`` sum_i c_i
@@ -219,8 +219,7 @@ class OracleTable:
     """
 
     xgrid: XGrid
-    step: float
-    top: int
+    grid: UGrid
     energy: float
     weights: np.ndarray
     t: np.ndarray
@@ -242,18 +241,17 @@ def _hankel_blocks(top: int, count: int):
             yield lo, hi, r, min(r + _HANKEL_BLOCK, hi)
 
 
-def oracle_table(density, xgrid: XGrid, step: float, top: int) -> OracleTable:
+def oracle_table(density, xgrid: XGrid, grid: UGrid) -> OracleTable:
     """The x-side of ``oracle_risks`` for ``density`` (a callable or its
-    values on the x-grid), roots of step ``step`` and cutoffs up to grid
-    index ``top``: built once per density, x-grid and step, and read by
-    every root scored on it.
+    values on the x-grid) and roots read on ``grid`` or a prefix of it:
+    built once per density, x-grid and u-grid, and read by every root
+    scored on it.
 
     T and Phi are one two-row chirp-z transform of the trapezoid weights,
     plain and times the density, with the phase taken back to the x-grid's
     midpoint.
     """
-    if not (step > 0 and top >= 0):
-        raise ParameterError(f"an oracle table needs step > 0 and top >= 0 (got {step}, {top})")
+    step, top = grid.step, grid.n_half
     target = density(xgrid.points) if callable(density) else np.asarray(density)
     weights = np.full(xgrid.count, xgrid.spacing)
     weights[[0, -1]] /= 2.0
@@ -268,7 +266,7 @@ def oracle_table(density, xgrid: XGrid, step: float, top: int) -> OracleTable:
         if r < _HANKEL_KEPT
     }
     return OracleTable(
-        xgrid, step, top, l2_distance(0.0, target, xgrid), weights, t, sums[1, : top + 1], blocks
+        xgrid, grid, l2_distance(0.0, target, xgrid), weights, t, sums[1, : top + 1], blocks
     )
 
 
@@ -279,10 +277,10 @@ def oracle_risks(root: RootEstimate, table: OracleTable, ms) -> tuple[np.ndarray
     order given: the root's last grid point <= m and ``l2_distance(invert(
     root, m, table.xgrid).values, density, table.xgrid)``, computed from the
     root's spectrum without inverting any cutoff.  ``table`` is
-    ``oracle_table(density, xgrid, root.grid.step, top)`` for any ``top`` at
-    or past the largest candidate's grid index; the table holds what does not
-    depend on the root, and this call what does.  An empty ``ms``, or a
-    table of another step or too small a ``top``, raises ParameterError.
+    ``oracle_table(density, xgrid, grid)`` for a u-grid of the root's step
+    that reaches the largest candidate's grid index; the table holds what
+    does not depend on the root, and this call what does.  An empty ``ms``,
+    or a table of another step or too short a grid, raises ParameterError.
 
     With c_i the x-grid's trapezoid weights, f_i the density, xi_i = x_i - mid
     about the grid's midpoint, s the root step and g_j = s phi_hat_X(u_j)
@@ -310,10 +308,10 @@ def oracle_risks(root: RootEstimate, table: OracleTable, ms) -> tuple[np.ndarray
         raise ParameterError("no cutoff candidates to score")
     ks = _cutoff_index(root, ms)
     step, top = root.grid.step, int(ks.max())
-    if step != table.step or top > table.top:
+    if step != table.grid.step or top > table.grid.n_half:
         raise ParameterError(
-            f"the oracle table (step {table.step:g}, top index {table.top}) does not "
-            f"cover this root (step {step:g}) up to grid index {top}"
+            f"the oracle table (step {table.grid.step:g}, top index {table.grid.n_half}) "
+            f"does not cover this root (step {step:g}) up to grid index {top}"
         )
     xgrid, t = table.xgrid, table.t
     risks = np.full(top + 1, table.energy)

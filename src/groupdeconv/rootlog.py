@@ -42,7 +42,7 @@ __all__ = [
 PHASE_STEP_BOUND = math.pi / 4.0
 
 # The largest frequency step anywhere: the adaptive threshold scan, the
-# simulation's root (read on the scan grid from the same spread) and the
+# oracle's root (read on the scan grid from the same spread) and the
 # ceiling of default_step.  At 0.01 the centred log-derivative quadrature
 # error stays orders of magnitude below the statistical error in every
 # benchmark scenario while staying affordable.  Dips of |phi_hat| narrower
@@ -50,13 +50,11 @@ PHASE_STEP_BOUND = math.pi / 4.0
 # constant mean|Y|, so this is adequate for anything but extreme scales.
 MAX_STEP = 0.01
 
-# The most positive modes a root grid may hold.  The rules of the package
-# ask for root_grid(cap), 100 cap + 1 modes past cap = 40.96: at K = 1 the
-# cap bandwidth.K1_CAP = 1000 gives 100001 modes, and at K = 2 the cap
-# sqrt(n) passes that from n = 10^6.  Two doublings above 100001, the
-# budget holds the K = 2 cap up to n = 6.9 * 10^6 and a fixed m up to
-# 2621, and the read of such a grid peaks near 130 MB (about 400 bytes a
-# mode, measured).
+# The most positive modes a root grid may hold.  The adaptive rule asks for
+# root_grid(m) with m at most the cap, which bandwidth.K1_CAP = 1000 bounds
+# at every K: 100001 modes at step 0.01.  Two doublings above that, the
+# budget holds a fixed m up to 2621, and the read of such a grid peaks near
+# 130 MB (about 400 bytes a mode, measured).
 ROOT_MODES = 1 << 18
 
 

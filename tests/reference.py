@@ -24,7 +24,7 @@ def evaluate_grid(sample, grid):
 
 def root_oracle_risks(root, density, ms, xgrid):
     """``oracle_risks`` of ``ms`` against a table built for this one root."""
-    return oracle_risks(root, oracle_table(density, xgrid, root.grid.step, root.grid.n_half), ms)
+    return oracle_risks(root, oracle_table(density, xgrid, root.grid), ms)
 
 
 def ecf_derivative_at(sample, u):

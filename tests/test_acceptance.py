@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,10 +357,12 @@ def test_criterion_8_simulate_determinism(tmp_path):
         "--seed",
         "808",
     ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = {}
     for label, threads in (("t1a", "1"), ("t1b", "1"), ("t4", "4")):
         out = tmp_path / label
-        env = os.environ | {"GROUPDECONV_THREADS": threads}
+        env = os.environ | {"GROUPDECONV_THREADS": threads, "PYTHONPATH": path}
         proc = subprocess.run(
             base_args + ["--out", str(out)],
             capture_output=True,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupdeconv.bandwidth import (
+    K1_CAP,
     adaptive_cutoff,
     cap_spread,
     cutoff_cap,
@@ -68,8 +69,16 @@ def test_adaptive_cutoff_rejects_non_finite_eta(eta):
 
 def test_cutoff_cap():
     assert cutoff_cap(1000, 5.0) == pytest.approx(1000 ** 0.2)
-    assert cutoff_cap(10**4, 1.0) == 1000.0  # K=1 uses the configurable cap
+    assert cutoff_cap(10**4, 1.0) == 1000.0  # K1_CAP bounds the cap at every K
     assert cutoff_cap(500, 1.0) == 500.0
+    assert cutoff_cap(2 * 10**4, 1.05) == K1_CAP
+    assert cutoff_cap(10**6, 1.001) == K1_CAP
+    assert cutoff_cap(10**7, 2.0) == K1_CAP
+    assert cutoff_cap(10**5, 2.0) == pytest.approx(10**2.5)
+    assert cutoff_cap(10**4, 1.5) == pytest.approx(10 ** (4 / 1.5))
+    # so the scan grid just above K = 1 is the K = 1 one; no read is built
+    for k in (1.001, 1.05):
+        assert scan_grid(10**6, k).n_half <= 100001
 
 
 # ---------------------------------------------------------------------------

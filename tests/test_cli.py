@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupdeconv import cli, default_xgrid, estimate
 from groupdeconv.cli import main
@@ -639,13 +643,62 @@ def test_estimate_and_simulate_load_no_scipy(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# exit-code contract: every estimate call ends in 0, 2 or 3, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def _wide(lo, hi, typical=None):
+    """Finite floats in [lo, hi], half of them from ``typical`` when given."""
+    wide = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    return wide if typical is None else st.one_of(_wide(*typical), wide)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_estimate_exits_0_2_or_3_without_a_traceback(tmp_path_factory, data):
+    size = data.draw(st.integers(0, 60), label="n")
+    scale = data.draw(st.sampled_from([10.0, 1e150, 1e300]), label="scale")
+    values = data.draw(st.lists(_wide(-scale, scale), min_size=size, max_size=size))
+    if values:  # repeats of the values drawn, so ties and two-value files occur
+        values += data.draw(st.lists(st.sampled_from(values), max_size=20), label="repeats")
+    path = tmp_path_factory.mktemp("contract") / "y.txt"
+    path.write_text("".join(f"{v!r}\n" for v in values))
+    cutoff = data.draw(
+        st.one_of(
+            st.sampled_from(["adaptive", "oracle"]),
+            _wide(5e-324, 1.7e308, (0.01, 50.0)).map(lambda m: f"fixed:{m!r}"),
+        ),
+        label="cutoff",
+    )
+    argv = ["estimate", "--input", str(path), "--cutoff", cutoff,
+            "--group-size", repr(data.draw(_wide(1.0, 1e308, (1.0, 60.0)), label="K")),
+            "--eta", repr(data.draw(_wide(1.0, 1e308, (1.0, 3.0)), label="eta")),
+            "--out", str(path.with_name("e"))]
+    law = data.draw(st.sampled_from([None, "normal", "gumbel", "gamma", "laplace"]), label="law")
+    if law is not None:
+        argv += ["--law", law]
+    if data.draw(st.booleans(), label="x-grid given"):
+        argv += ["--x-min", repr(data.draw(_wide(-1e300, 1e300, (-20.0, 5.0)), label="x_min")),
+                 "--x-max", repr(data.draw(_wide(-1e300, 1e300, (-5.0, 20.0)), label="x_max")),
+                 "--x-count", str(data.draw(st.integers(16, 4096), label="x_count"))]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = exit_code(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
 # console entry point
 # ---------------------------------------------------------------------------
 
 
 def test_module_invocation_help():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "groupdeconv.cli", "--help"],
+        env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
     )

@@ -2,6 +2,7 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import groupdeconv
@@ -15,9 +16,9 @@ from groupdeconv.experiments import (
     run_grid,
     run_replication,
 )
-from groupdeconv.bandwidth import cap_spread, scan_grid
+from groupdeconv.bandwidth import adaptive_cutoff, cap_spread, estimate, oracle_root, scan_grid
 from groupdeconv.errors import GroupDeconvError, ParameterError
-from groupdeconv.inversion import invert, l2_distance
+from groupdeconv.inversion import invert, l2_distance, oracle_risks
 from groupdeconv.rootlog import feasible_root
 from groupdeconv.samples import Gamma, Laplace, Normal, benchmark_laws, generate_grouped
 
@@ -87,6 +88,24 @@ def test_replication_adaptive_risk_is_the_inversion_at_m_hat():
         xg = law_xgrid(law)
         risk = l2_distance(invert(root, min(r.m_adaptive, root.u_limit), xg).values, law.pdf, xg)
         assert r.risk_adaptive == pytest.approx(risk, rel=1e-12)
+
+
+def test_estimate_and_the_simulation_score_one_oracle():
+    # estimate's oracle and run_replication read one root through oracle_root
+    # and score it alike; the simulation adds m_hat as its last candidate
+    n, k, seed = 2000, 5, (21, 4)
+    for law in benchmark_laws().values():
+        sample = generate_grouped(law, n, k, seed)
+        est = estimate(sample, law_xgrid(law), "oracle", law=law)
+        ecf = cap_spread(sample)
+        root, candidates, _violation = oracle_root(ecf, extra=(adaptive_cutoff(ecf).value,))
+        ms, risks = oracle_risks(root, cell_table(law, n, k), candidates)
+        best = int(np.argmin(risks[:-1]))
+        assert est.cutoff_m == ms[best]
+        assert est.cutoff_rule["risk"] == pytest.approx(risks[best], rel=1e-12)
+        r = run_replication(law, n, k, seed=seed)
+        assert (r.m_oracle, r.risk_oracle) == (ms[np.argmin(risks)], risks.min())
+        assert r.risk_adaptive == risks[-1]
 
 
 def test_replication_risks_are_sane():
@@ -346,6 +365,22 @@ def test_only_inversion_maps_a_cutoff_to_the_grid():
     package = Path(groupdeconv.__file__).parent
     callers = {p.stem for p in package.glob("*.py") if ".index_of(" in p.read_text()}
     assert callers == {"rootlog", "inversion"}
+
+
+def test_only_bandwidth_reads_the_oracle_root():
+    # bandwidth.oracle_root reads the root and builds the candidates, and
+    # estimate and run_replication both call it
+    def callers(name):
+        found = set()
+        for path in Path(groupdeconv.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                func = getattr(node, "func", None)
+                if name in (getattr(func, "id", None), getattr(func, "attr", None)):
+                    found.add(path.stem)
+        return found
+
+    assert callers("default_oracle_grid") == callers("feasible_root") == {"bandwidth"}
+    assert callers("oracle_root") == {"bandwidth", "experiments"}
 
 
 def _runs_on_import(node):

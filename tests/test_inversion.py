@@ -210,8 +210,8 @@ def test_oracle_table_for_a_larger_top_scores_like_a_fresh_one(case):
     _make_root, xg, ms = PREFIX_CASES[case]
     root = prefix_case_root(case)
     density = Normal(2.0, 1.0).pdf
-    fresh = oracle_table(density, xg, root.grid.step, root.grid.n_half)
-    larger = oracle_table(density, xg, root.grid.step, 3 * root.grid.n_half + 7)
+    fresh = oracle_table(density, xg, root.grid)
+    larger = oracle_table(density, xg, UGrid((3 * root.grid.n_half + 7) * root.grid.step, root.grid.step))
     cutoffs, want = oracle_risks(root, fresh, ms)
     for table in (larger, replace(fresh, blocks={})):
         got_cutoffs, got = oracle_risks(root, table, ms)
@@ -224,13 +224,13 @@ def test_oracle_table_of_another_step_or_too_small_a_top_is_refused():
     root = analytic_root(law, 4.0, 0.01)
     xg = XGrid(-3.0, 7.0, 128)
     with pytest.raises(ParameterError, match="step 0.02"):
-        oracle_risks(root, oracle_table(law.pdf, xg, 0.02, root.grid.n_half), [1.0])
-    table = oracle_table(law.pdf, xg, 0.01, 150)
+        oracle_risks(root, oracle_table(law.pdf, xg, UGrid(4.0, 0.02)), [1.0])
+    table = oracle_table(law.pdf, xg, UGrid(1.5, 0.01))
     oracle_risks(root, table, [0.5, 1.5])  # grid index 150 is the table's top
     with pytest.raises(ParameterError, match="top index 150.* up to grid index 151"):
         oracle_risks(root, table, [0.5, 1.51])
-    with pytest.raises(ParameterError, match="step > 0 and top >= 0"):
-        oracle_table(law.pdf, xg, 0.0, 150)
+    with pytest.raises(ParameterError, match="grid step must be > 0"):
+        oracle_table(law.pdf, xg, UGrid(1.5, 0.0))
 
 
 def test_candidates_sharing_a_grid_index_get_bitwise_equal_risks():

@@ -197,7 +197,8 @@ def test_phase_increment_warning():
 
 
 def test_root_grid_budget_holds_the_caps_the_rules_ask_for():
-    # the oracle's root grid at K = 1, and at K = 2 the cap sqrt(n) to n = 6.8e6
+    # the adaptive rule's root grid at the largest cap of any K (K1_CAP:
+    # at K = 2 the cap sqrt(n) reaches it at n = 10^6), and a fixed m to 2621
     assert root_grid(K1_CAP).n_half <= ROOT_MODES
     assert root_grid(cutoff_cap(6_800_000, 2.0)).n_half <= ROOT_MODES
     assert root_grid(2621.0).n_half <= ROOT_MODES
