@@ -46,6 +46,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """The type of every size flag (n, K, replications): an integer that
+    fits numpy's index type, a C ssize_t, or argparse exits 2 naming the
+    flag.  Past that a size overflows a float or a length before any
+    check on its value could run."""
+    value = int(text)
+    if abs(value) > sys.maxsize:
+        digits = sum(c.isdigit() for c in text)
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of magnitude at most {sys.maxsize} (got one of {digits} digits)"
+        )
+    return value
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -109,16 +123,16 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_list(text):
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+def _count_list(text):
+    return tuple(_count(tok) for tok in text.split(",") if tok.strip())
 
 
 # config key, also the dest of simulate's flag -> (the ScenarioGrid field it sets, parser)
 _CONFIG_KEYS = {
     "laws": ("laws", lambda text: text.split(",")),
-    "ns": ("ns", _int_list),
-    "group_sizes": ("group_sizes", _int_list),
-    "reps": ("replications", int),
+    "ns": ("ns", _count_list),
+    "group_sizes": ("group_sizes", _count_list),
+    "reps": ("replications", _count),
     "eta": ("eta", float),
     "seed": ("master_seed", int),
 }
@@ -148,7 +162,7 @@ def _parse_config_file(path) -> dict:
         field, parse = _CONFIG_KEYS[key]
         try:
             out[field] = parse(value)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise DataFormatError(
                 f"{path}:{lineno}: bad value for '{key}' (got '{value}')", line=lineno
             ) from None
@@ -269,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run Monte-Carlo risk tables")
     sim.add_argument("--law", action="append", dest="laws", metavar="LAW", help="law name; repeatable (default: all four)")
-    sim.add_argument("--n", action="append", type=int, dest="ns", metavar="N", help="sample size; repeatable")
-    sim.add_argument("--group-size", action="append", type=int, dest="group_sizes", metavar="GROUP_SIZE", help="K; repeatable")
-    sim.add_argument("--reps", type=int, default=None, help=f"replications per cell (default {ScenarioGrid.replications})")
+    sim.add_argument("--n", action="append", type=_count, dest="ns", metavar="N", help="sample size; repeatable")
+    sim.add_argument("--group-size", action="append", type=_count, dest="group_sizes", metavar="GROUP_SIZE", help="K; repeatable")
+    sim.add_argument("--reps", type=_count, default=None, help=f"replications per cell (default {ScenarioGrid.replications})")
     sim.add_argument("--eta", type=_finite_float, default=None)
     sim.add_argument("--seed", type=int, default=None, help="master seed")
     sim.add_argument("--quick", action="store_true", help="CI mode: at most 50 replications")
@@ -281,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dia = sub.add_parser("diagnose", help="theoretical threshold diagnostics")
     dia.add_argument("--law", required=True)
-    dia.add_argument("--n", type=int, required=True)
+    dia.add_argument("--n", type=_count, required=True)
     dia.add_argument("--group-size", type=_finite_float, required=True)
     dia.add_argument("--eta", type=_finite_float, default=DEFAULT_ETA)
     dia.add_argument("--eps", type=_finite_float, default=0.1)

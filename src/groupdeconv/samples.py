@@ -142,9 +142,10 @@ class Normal(TestLaw):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.exp(-((x - self.mean) ** 2) / (2 * self.variance)) / math.sqrt(
-            2 * math.pi * self.variance
-        )
+        with np.errstate(over="ignore"):  # far out the square is inf, the density 0
+            return np.exp(-((x - self.mean) ** 2) / (2 * self.variance)) / math.sqrt(
+                2 * math.pi * self.variance
+            )
 
     def cf(self, u):
         u = np.asarray(u, dtype=float)
@@ -180,7 +181,8 @@ class Gumbel(TestLaw):
 
     def pdf(self, x):
         z = (np.asarray(x, dtype=float) - self.location) / self.scale
-        return np.exp(-z - np.exp(-z)) / self.scale
+        with np.errstate(over="ignore"):  # far left e^{-z} is inf, the density 0
+            return np.exp(-z - np.exp(-z)) / self.scale
 
     def cf(self, u):
         # E[e^{iuX}] = e^{iu*loc} * Gamma(1 - iu*scale)
@@ -221,12 +223,13 @@ class Gamma(TestLaw):
         out = np.zeros_like(x)
         pos = x > 0
         xp = x[pos]
-        log_pdf = (
-            self.shape * math.log(self.rate)
-            + (self.shape - 1) * np.log(xp)
-            - self.rate * xp
-            - math.lgamma(self.shape)
-        )
+        with np.errstate(over="ignore"):  # far right rate * x is inf, the density 0
+            log_pdf = (
+                self.shape * math.log(self.rate)
+                + (self.shape - 1) * np.log(xp)
+                - self.rate * xp
+                - math.lgamma(self.shape)
+            )
         out[pos] = np.exp(log_pdf)
         return out
 
@@ -258,7 +261,8 @@ class Laplace(TestLaw):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.exp(-np.abs(x - self.mean) / self.scale) / (2.0 * self.scale)
+        with np.errstate(over="ignore"):  # far out |x - mean| / scale is inf, the density 0
+            return np.exp(-np.abs(x - self.mean) / self.scale) / (2.0 * self.scale)
 
     def cf(self, u):
         u = np.asarray(u, dtype=float)
@@ -302,7 +306,13 @@ def generate_grouped(law: TestLaw, n: int, group_size: int, seed) -> GroupedSamp
     """Draw n observations of the sum of ``group_size`` i.i.d. copies of the law.
 
     Deterministic given ``seed``; the same seed yields bit-identical samples.
+    The copies are drawn and summed a block of about ``_fourier.BLOCK``
+    values (whole rows, at least one) at a time, in the generator's
+    row-major order, so the samples do not depend on the block and memory
+    is O(n), not O(nK).
     """
+    from ._fourier import BLOCK  # the spread's block, one cache-sized unit for both
+
     if n < 2:
         raise ParameterError(f"need n >= 2 (got {n})")
     if int(group_size) != group_size or group_size < 1:
@@ -311,8 +321,15 @@ def generate_grouped(law: TestLaw, n: int, group_size: int, seed) -> GroupedSamp
         )
     k = int(group_size)
     rng = make_rng(seed)
-    draws = law.sample(rng, (n, k))
-    return GroupedSample(draws.sum(axis=1), float(k))
+    rows = max(1, BLOCK // k)
+    try:
+        sums = np.empty(n)
+        for start in range(0, n, rows):
+            part = sums[start : start + rows]
+            law.sample(rng, (part.size, k)).sum(axis=1, out=part)
+    except (MemoryError, ValueError) as exc:  # numpy: "array is too big" is a ValueError
+        raise ParameterError(f"cannot draw n = {n} sums of K = {k}: {exc}") from None
+    return GroupedSample(sums, float(k))
 
 
 def load_sample(path, group_size: float) -> GroupedSample:

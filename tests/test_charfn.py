@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupdeconv import charfn
-from groupdeconv._fourier import grid_spacing
+from groupdeconv._fourier import BLOCK, HALF_WIDTH, GaussianSpread, grid_spacing
 from groupdeconv.bandwidth import adaptive_cutoff, cap_spread, threshold_value
 from groupdeconv.charfn import CROSSING_XTOL, GRID_SLACK, CfEvaluation, SpreadEcf, UGrid
 from groupdeconv.errors import ParameterError
@@ -19,6 +18,8 @@ from reference import (
     ecf_at,
     ecf_derivative_at,
     evaluate_grid,
+    one_pass_spread,
+    peak_traced_bytes,
     phi,
     scan_bracket,
 )
@@ -236,13 +237,42 @@ def test_nufft_memory_is_linear_in_points():
     # the working set is a few (n,) arrays, not an (n, 2*HALF_WIDTH) block
     n = 200_000
     s = GroupedSample(make_rng(77).normal(0.0, 3.0, n), 1.0)
-    tracemalloc.start()
-    try:
-        SpreadEcf(s, 7.0).read(UGrid(7.0, 0.01))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_traced_bytes(lambda: SpreadEcf(s, 7.0).read(UGrid(7.0, 0.01)))
     assert peak / n < 128
+
+
+@pytest.mark.parametrize("n", [2, 1000, BLOCK])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "mass"])
+def test_spread_of_one_block_is_the_one_pass_spread_bit_for_bit(n, weighted):
+    y = make_rng(n).normal(3.0, 4.0, n)
+    mass = make_rng(n + 1).normal(size=n) if weighted else None
+    spread = GaussianSpread(y, 7.0, mass)
+    assert np.array_equal(spread.values, one_pass_spread(y, 7.0, mass))
+
+
+@pytest.mark.parametrize(
+    "n, scale, u_max",
+    [
+        (3 * BLOCK + 17, 4.0, 7.0),  # blocks of BLOCK points, a short last one
+        (3 * BLOCK, 1.0, 8000.0),  # a grid longer than BLOCK sets the block
+    ],
+)
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "mass"])
+def test_spread_across_blocks_matches_the_one_pass_spread(n, scale, u_max, weighted):
+    y = make_rng(n).normal(3.0, scale, n)
+    mass = make_rng(n + 1).normal(size=n) if weighted else None
+    spread = GaussianSpread(y, u_max, mass)
+    reference = one_pass_spread(y, u_max, mass)
+    assert spread.first == int(np.floor(y.min() / grid_spacing(u_max))) - (HALF_WIDTH - 1)
+    assert spread.values.size == reference.size
+    assert np.max(np.abs(spread.values - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
+def test_spread_working_set_is_one_block_not_n():
+    # a few arrays of one block (frac, idx, e1, weights and a bincount's),
+    # 1.06 MB measured on 10^6 points; one of n alone would be 8 MB
+    y = make_rng(78).normal(0.0, 2.0, 10**6)
+    assert peak_traced_bytes(lambda: GaussianSpread(y, 15.8)) < 6 * 8 * BLOCK
 
 
 def test_point_read_matches_the_grid_read():

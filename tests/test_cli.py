@@ -643,7 +643,8 @@ def test_estimate_and_simulate_load_no_scipy(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# exit-code contract: every estimate call ends in 0, 2 or 3, never a traceback
+# exit-code contract: every estimate call ends in 0, 2 or 3, every diagnose
+# and simulate call in 0, 2, 3 or 4, never a traceback
 # ---------------------------------------------------------------------------
 
 
@@ -685,6 +686,43 @@ def test_estimate_exits_0_2_or_3_without_a_traceback(tmp_path_factory, data):
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = exit_code(argv)
     assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+# Integers past a float (10**400), past ssize_t and at its end, and sizes
+# whose arrays numpy refuses at once (10**13 doubles are 73 TiB; 2**62 are
+# "too big").  Never a size a machine might grant: that would run, or hold
+# its memory, for as long as the draw takes.
+_HUGE = (10**13, 2**62, sys.maxsize, sys.maxsize + 1, 10**400)
+
+
+def _integer(lo, hi, huge=_HUGE):
+    """An integer flag's value: from [lo, hi], or huge of either sign."""
+    return st.one_of(
+        st.integers(lo, hi), st.sampled_from(huge), st.sampled_from(huge).map(lambda v: -v)
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_diagnose_and_simulate_exit_0_2_3_or_4_without_a_traceback(tmp_path_factory, data):
+    out = tmp_path_factory.mktemp("contract") / "out"
+    law = data.draw(st.sampled_from(["normal", "gumbel", "gamma", "laplace"]), label="law")
+    n = data.draw(_integer(-1, 60), label="n")
+    k = data.draw(_integer(-1, 5), label="K")
+    argv = ["--law", law, "--n", str(n), "--group-size", str(k), "--out", str(out)]
+    if data.draw(st.booleans(), label="simulate"):
+        # every replication drawn runs, so the only huge counts are those
+        # past ssize_t, which the flag refuses
+        reps = data.draw(_integer(-1, 2, huge=(sys.maxsize + 1, 10**400)), label="reps")
+        seed = data.draw(_integer(-1, 9), label="seed")
+        argv = ["simulate", *argv, "--reps", str(reps), "--seed", str(seed)]
+    else:
+        argv = ["diagnose", *argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = exit_code(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 

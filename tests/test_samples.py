@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from groupdeconv._fourier import BLOCK
 from groupdeconv.errors import DataFormatError, ParameterError
 from groupdeconv.samples import (
     Gamma,
@@ -19,6 +20,7 @@ from groupdeconv.samples import (
     load_sample,
     make_rng,
 )
+from reference import peak_traced_bytes
 
 ALL_LAWS = list(benchmark_laws().values())
 
@@ -90,6 +92,38 @@ def test_gamma_convolution_identity():
     s = generate_grouped(Gamma(6.0, 3.0), n, 2, seed=99)
     ks = stats.kstest(s.observations, stats.gamma(a=12.0, scale=1.0 / 3.0).cdf)
     assert ks.statistic < 0.01
+
+
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.name)
+@pytest.mark.parametrize(
+    "n, k",
+    [
+        (3 * (BLOCK // 5) + 7, 5),  # three blocks of whole rows and a short one
+        (BLOCK + 1, 1),  # K = 1: a block of BLOCK rows, then one row
+        (2000, 50),
+        (3, BLOCK + 3),  # K past the block: one row per block
+    ],
+)
+def test_blocked_draw_is_one_draw_bit_for_bit(law, n, k):
+    s = generate_grouped(law, n, k, seed=(5, n, k))
+    direct = law.sample(make_rng((5, n, k)), (n, k)).sum(axis=1)
+    np.testing.assert_array_equal(s.observations, direct)
+
+
+def test_grouped_draw_memory_is_linear_in_n_not_nk():
+    # the sums and one temporary of n (the variance check), 1.60 MB measured,
+    # plus a block's draw and its row sums; the (n, K) draw would be 40 MB
+    n = 10**5
+    peak = peak_traced_bytes(lambda: generate_grouped(Normal(), n, 50, seed=1))
+    assert peak < 2 * 8 * n + 2 * 8 * BLOCK
+
+
+def test_generate_names_a_size_it_cannot_hold():
+    # numpy refuses the sums of the first and the one row of the second as
+    # "array is too big", a ValueError, before any draw
+    for n, k in ((2**62, 5), (100, 2**62)):
+        with pytest.raises(ParameterError, match=f"n = {n} sums of K = {k}"):
+            generate_grouped(Normal(), n, k, seed=0)
 
 
 def test_generate_rejects_bad_parameters():
@@ -182,6 +216,14 @@ def test_pdf_matches_scipy(law, dist):
     np.testing.assert_allclose(law.pdf(x), dist.pdf(x), atol=1e-12)
     assert law.mean == pytest.approx(dist.mean(), abs=1e-12)
     assert law.variance == pytest.approx(dist.var(), abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.name)
+def test_pdf_is_zero_far_out_without_a_warning(law):
+    big = np.finfo(float).max
+    x = np.array([-big, -1e300, -1e5, 1e5, 1e300, big])
+    assert np.array_equal(law.pdf(x), np.zeros_like(x))
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.name)
