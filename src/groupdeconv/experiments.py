@@ -12,7 +12,6 @@ import io
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,7 +260,10 @@ def run_grid(grid: ScenarioGrid) -> RiskReport:
     derived seeds; the blocks' results are flattened in (cell, replication)
     order, so each cell is one slice of ``grid.replications`` and the
     report is identical for any worker count.  Cells whose replications
-    all fail become NaN rows rather than silent omissions.
+    all fail become NaN rows rather than silent omissions.  No process
+    pool, nor the multiprocessing stack behind it, is imported unless
+    GROUPDECONV_THREADS asks for more than one worker and there is more
+    than one task (and CPU) to give them.
     """
     cells, reps = grid.cells, range(grid.replications)
     tasks = [
@@ -274,6 +276,8 @@ def run_grid(grid: ScenarioGrid) -> RiskReport:
     if n_workers == 1:
         blocks = map(_run_cell_block, tasks)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             blocks = list(pool.map(_run_cell_block, tasks, chunksize=1))
     results = [r for block in blocks for r in block]

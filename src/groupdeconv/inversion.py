@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._fourier import chirp_z
 from .charfn import GRID_SLACK, UGrid
 from .errors import CutoffExceedsRange, ParameterError
-from .rootlog import RootEstimate
+from .rootlog import ROOT_MODES, RootEstimate
 from .samples import GroupedSample
 
 __all__ = [
@@ -61,7 +61,14 @@ _HANKEL_KEPT = 1 << 13
 
 @dataclass(frozen=True)
 class XGrid:
-    """Uniform evaluation grid on [x_min, x_max] with ``count`` points."""
+    """Uniform evaluation grid on [x_min, x_max] with ``count`` points.
+
+    ``count`` is at most ROOT_MODES, the budget of the root grid whose
+    modes the inversion's chirp-z transform pairs with these points: both
+    sides of the transform get the same bound, so its FFT stays within
+    2^20 points and a count that no machine could hold is refused before
+    anything is allocated.
+    """
 
     x_min: float
     x_max: float
@@ -80,6 +87,10 @@ class XGrid:
             )
         if self.count < 16:
             raise ParameterError(f"x-grid needs at least 16 points (got {self.count})")
+        if self.count > ROOT_MODES:
+            raise ParameterError(
+                f"x-grid holds at most {ROOT_MODES} points, the root grid's budget (got {self.count})"
+            )
 
     @property
     def points(self) -> np.ndarray:

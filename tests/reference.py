@@ -4,11 +4,15 @@ import tracemalloc
 
 import numpy as np
 
-from groupdeconv._fourier import _BETA, HALF_WIDTH, grid_spacing
+from groupdeconv._fourier import HALF_WIDTH, grid_spacing
 from groupdeconv.bandwidth import scan_grid
 from groupdeconv.charfn import SpreadEcf
 from groupdeconv.inversion import oracle_risks, oracle_table
 from groupdeconv.rootlog import RootEstimate
+
+# The spreading kernel's exponent beta = pi^2 / (36 s) with s = 2 pi / 5,
+# from the _fourier docstring, in that module's order of operations.
+_BETA = math.pi**2 / (36.0 * (2.0 * math.pi / 5.0))
 
 
 def ecf_at(sample, u):

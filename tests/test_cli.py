@@ -17,6 +17,7 @@ from groupdeconv import cli, default_xgrid, estimate
 from groupdeconv.cli import main
 from groupdeconv.experiments import RiskReport, ScenarioGrid
 from groupdeconv.inversion import XGrid, l2_distance
+from groupdeconv.rootlog import ROOT_MODES
 from groupdeconv.samples import Normal, generate_grouped, load_sample
 
 
@@ -602,7 +603,8 @@ def test_bad_float_flag_exits_2_naming_it(tmp_path, normal_sum_file, capsys, arg
 
 
 # ---------------------------------------------------------------------------
-# imports: estimate, simulate and diagnose of a law with a numpy cf run on numpy alone
+# imports: estimate, simulate and diagnose of a law with a numpy cf run on numpy
+# alone, and a single-worker simulate without the process-pool stack
 # ---------------------------------------------------------------------------
 
 _NO_SCIPY_SCRIPT = """
@@ -621,7 +623,11 @@ codes = [
     main(["diagnose", "--law", "laplace", "--n", "1000", "--group-size", "5", "--out", "diag"]),
 ]
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(codes, loaded)
+pool = sorted(
+    m for m in sys.modules
+    if m.startswith("multiprocessing") or m == "concurrent.futures.process"
+)
+print(codes, loaded, pool)
 """
 
 
@@ -634,7 +640,7 @@ def test_estimate_and_simulate_load_no_scipy(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [] []"
     # the exact Gumbel cf, which diagnose needs, still loads scipy on demand
     assert run_cli(
         ["diagnose", "--law", "gumbel", "--n", 1000, "--group-size", 5,
@@ -679,9 +685,17 @@ def test_estimate_exits_0_2_or_3_without_a_traceback(tmp_path_factory, data):
     if law is not None:
         argv += ["--law", law]
     if data.draw(st.booleans(), label="x-grid given"):
+        # or a count past the x-grid's budget, refused before any array is
+        # made: just past it, or so far that numpy too refuses the array at
+        # once, never a size a machine might grant (see _HUGE)
+        x_count = st.one_of(
+            st.integers(16, 4096),
+            st.integers(ROOT_MODES + 1, 2 * ROOT_MODES),
+            st.integers(10**13, 10**30),
+        )
         argv += ["--x-min", repr(data.draw(_wide(-1e300, 1e300, (-20.0, 5.0)), label="x_min")),
                  "--x-max", repr(data.draw(_wide(-1e300, 1e300, (-5.0, 20.0)), label="x_max")),
-                 "--x-count", str(data.draw(st.integers(16, 4096), label="x_count"))]
+                 "--x-count", str(data.draw(x_count, label="x_count"))]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = exit_code(argv)

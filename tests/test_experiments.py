@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import math
 from pathlib import Path
 
@@ -248,7 +249,8 @@ def test_run_grid_clamps_workers_to_tasks_and_cpus(
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    # run_grid imports the pool when it starts one, so it reads this attribute then
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(experiments, "BLOCK_SIZE", block_size)
     monkeypatch.setenv("GROUPDECONV_THREADS", str(10**6))
@@ -391,24 +393,34 @@ def _runs_on_import(node):
             yield from _runs_on_import(child)
 
 
-def _scipy_names(node):
-    """The scipy modules an import statement names; [] for any other node."""
+def _imported_names(node, roots=("scipy",)):
+    """The modules under ``roots`` an import statement names; [] for any
+    other node."""
     if isinstance(node, ast.Import):
         names = [alias.name for alias in node.names]
     elif isinstance(node, ast.ImportFrom) and node.level == 0:
         names = [node.module]
     else:
         return []
-    return [name for name in names if name == "scipy" or name.startswith("scipy.")]
+    return [name for name in names if name.split(".")[0] in roots]
 
 
-def test_no_module_level_scipy_import():
-    # estimate and simulate import numpy only; scipy (≈0.5 s to import) is
-    # loaded inside the few functions that need it
+@pytest.mark.parametrize(
+    "roots",
+    [
+        # scipy (≈0.5 s to import) is loaded inside the few functions that need it
+        ("scipy",),
+        # the process pool's stack only a run_grid with several workers loads
+        ("concurrent", "multiprocessing"),
+    ],
+    ids=["scipy", "process-pool"],
+)
+def test_no_module_level_import(roots):
+    # estimate and a single-worker simulate load neither on import
     offenders = []
     for path in sorted(Path(groupdeconv.__file__).parent.glob("*.py")):
         for node in _runs_on_import(ast.parse(path.read_text())):
-            offenders += [f"{path.name}:{node.lineno}: {name}" for name in _scipy_names(node)]
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in _imported_names(node, roots)]
     assert offenders == []
 
 
@@ -418,7 +430,7 @@ def _scipy_importers(node, scope):
         inner = scope
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = f"{scope}.{child.name}"
-        if _scipy_names(child):
+        if _imported_names(child):
             yield inner
         yield from _scipy_importers(child, inner)
 

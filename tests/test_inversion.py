@@ -18,7 +18,7 @@ from groupdeconv.inversion import (
     oracle_risks,
     oracle_table,
 )
-from groupdeconv.rootlog import distinguished_root
+from groupdeconv.rootlog import ROOT_MODES, distinguished_root
 from groupdeconv.samples import Gamma, Normal, generate_grouped
 from reference import energy_u, energy_x, evaluate_grid, phi, root_from_values, root_oracle_risks
 
@@ -45,6 +45,10 @@ def test_xgrid_validation():
         XGrid(0.0, math.nan, 64)
     with pytest.raises(ParameterError, match="must be finite"):
         XGrid(-1.7e308, 1.7e308, 64)
+    assert XGrid(0.0, 1.0, ROOT_MODES).count == ROOT_MODES
+    for count in (ROOT_MODES + 1, 10**30):
+        with pytest.raises(ParameterError, match=f"at most {ROOT_MODES} points.*got {count}"):
+            XGrid(0.0, 1.0, count)
 
 
 def test_default_xgrid_covers_summand():
