@@ -8,8 +8,8 @@ The adaptive cutoff is the first frequency at which |phi_hat| drops to
 capped at n^{1/K} and K1_CAP.  Past that level the empirical characteristic
 function is noise-dominated and the K-th root cannot be estimated, so the
 spectrum is cut there.  The oracle cutoff minimizes the exact L2 risk over
-a cutoff grid and is computable only when the true density is known; one
-``oracle_root`` serves ``estimate`` and the simulation.  The diagnostic
+a cutoff grid and is computable only when the true density is known;
+``oracle_cutoff`` picks it for ``estimate`` and the simulation.  The diagnostic
 threshold locates where the *exact* |phi| crosses a theoretical level, for
 comparing the data-driven cutoff against what the risk analysis predicts.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from .charfn import SpreadEcf, UGrid, bisect_crossing
 from .errors import LevelNotReached, ParameterError
-from .inversion import DensityEstimate, XGrid, invert, oracle_risks, oracle_table
+from .inversion import DensityEstimate, OracleTable, XGrid, invert, oracle_risks, oracle_table
 from .rootlog import MAX_STEP, distinguished_root, feasible_root, root_grid
 from .samples import GroupedSample, TestLaw
 
@@ -37,7 +37,7 @@ __all__ = [
     "adaptive_cutoff",
     "estimate",
     "default_oracle_grid",
-    "oracle_root",
+    "oracle_cutoff",
     "diagnostic_level",
     "diagnostic_threshold_u",
 ]
@@ -144,14 +144,23 @@ def default_oracle_grid(u_hi: float) -> np.ndarray:
     return np.geomspace(0.25, u_hi, 60)
 
 
-def oracle_root(ecf: SpreadEcf, extra=()):
-    """(root, candidates, violation) of the oracle: the ``feasible_root`` on
-    the ``scan_grid``, ``default_oracle_grid`` up to ``cutoff_cap`` or the
-    root's end if lower, then each of ``extra`` held to the root's end."""
+def oracle_cutoff(ecf: SpreadEcf, table: OracleTable, extra=()):
+    """(record, root, risks) of the oracle on ``table``: the ``feasible_root``
+    on the ``scan_grid``, scored by ``oracle_risks`` at ``default_oracle_grid``
+    up to ``cutoff_cap`` or the root's end, then at each of ``extra`` held to
+    the root's end.  The record holds the first argmin's grid cutoff, its
+    ``risk``, the count of distinct grid cutoffs (``candidates``) and
+    ``truncated_at`` if |phi_hat| hit the integration floor."""
     root, violation = feasible_root(ecf.read(scan_grid(ecf.n, ecf.group_size)))
     u_hi = root.u_limit
     candidates = default_oracle_grid(min(cutoff_cap(ecf.n, ecf.group_size), u_hi))
-    return root, np.append(candidates, np.minimum(extra, u_hi)), violation
+    cutoffs, risks = oracle_risks(root, table, np.append(candidates, np.minimum(extra, u_hi)))
+    best = int(np.argmin(risks))  # the grid candidates ascend: smallest m on ties
+    # a set, not np.unique, which imports numpy.ma (1.7 MB) into every simulate
+    params = {"risk": float(risks[best]), "candidates": len(set(cutoffs.tolist()))}
+    if violation is not None:
+        params["truncated_at"] = violation
+    return CutoffRecord(float(cutoffs[best]), "oracle", True, params), root, risks
 
 
 def estimate(
@@ -161,26 +170,19 @@ def estimate(
     distinguished-log K-th root on [0, m], inverted at the cutoff m.
 
     ``cutoff`` is "adaptive" (the threshold rule at ``eta``), a fixed m > 0,
-    or "oracle": the grid cutoff at the first argmin of the ``oracle_risks``
-    against ``law``'s density over the ``oracle_root`` candidates; its
-    record counts the distinct grid cutoffs (``candidates``).  The oracle
+    or "oracle": the ``oracle_cutoff`` record against ``law``'s density on
+    a table over the ``scan_grid``, as the simulation builds it.  The oracle
     inverts the scan-grid root it scored, so the recorded risk is that of
-    the values returned, and records where |phi_hat| hit the integration
-    floor (``truncated_at``); the other rules invert a root on
-    ``root_grid(m)``.  The adaptive and oracle rules spread the sample up to
-    the cap plus MAX_STEP, a fixed m as far as ``root_grid(m)``.
+    the values returned; the other rules invert a root on ``root_grid(m)``.
+    The adaptive and oracle rules spread the sample up to the cap plus
+    MAX_STEP, a fixed m as far as ``root_grid(m)``.
     """
     check_eta(eta)
     if cutoff == "oracle":
         if law is None:
             raise ParameterError("cutoff='oracle' needs the true law (law=)")
-        root, candidates, violation = oracle_root(cap_spread(sample))
-        cutoffs, risks = oracle_risks(root, oracle_table(law.pdf, xgrid, root.grid), candidates)
-        best = int(np.argmin(risks))  # candidates ascend: smallest m on ties
-        params = {"risk": float(risks[best]), "candidates": np.unique(cutoffs).size}
-        if violation is not None:
-            params["truncated_at"] = violation
-        record = CutoffRecord(float(cutoffs[best]), "oracle", True, params)
+        table = oracle_table(law.pdf, xgrid, scan_grid(sample.n, sample.group_size))
+        record, root, _risks = oracle_cutoff(cap_spread(sample), table)
         m = record.value
     else:
         if cutoff == "adaptive":

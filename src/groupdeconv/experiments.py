@@ -21,11 +21,11 @@ from .bandwidth import (
     adaptive_cutoff,
     cap_spread,
     check_eta,
-    oracle_root,
+    oracle_cutoff,
     scan_grid,
 )
 from .errors import GroupDeconvError, ParameterError
-from .inversion import OracleTable, XGrid, centred_xgrid, oracle_risks, oracle_table
+from .inversion import OracleTable, XGrid, centred_xgrid, oracle_table
 from .rootlog import MAX_STEP
 from .samples import TestLaw, benchmark_laws, generate_grouped
 
@@ -120,9 +120,9 @@ def run_replication(
     """One sample, both estimators, both risks (same sample, same x-grid
     ``law_xgrid(law)``).
 
-    One spread of the sample serves the threshold scan and ``oracle_root``,
-    whose root has step MAX_STEP.  The adaptive risk is the last
-    ``oracle_risks`` entry: m_hat is scored after the oracle's candidates.
+    One spread of the sample serves the threshold scan and ``oracle_cutoff``,
+    whose record gives the oracle's cutoff and risk; m_hat is scored after
+    the oracle's candidates, so the adaptive risk is the last of its risks.
     ``table`` is the cell's ``cell_table``, built here when not given.
     """
     sample = generate_grouped(law, n, group_size, seed)
@@ -135,16 +135,12 @@ def run_replication(
             f"the sample is too degenerate to invert"
         )
 
-    root, candidates, _violation = oracle_root(ecf, extra=(m_hat,))
-    if table is None:
-        table = cell_table(law, n, group_size)
-    ms, risks = oracle_risks(root, table, candidates)
-    best = int(np.argmin(risks))
+    oracle, _root, risks = oracle_cutoff(ecf, table or cell_table(law, n, group_size), (m_hat,))
     return ReplicationResult(
         risk_adaptive=float(risks[-1]),
-        risk_oracle=float(risks[best]),
+        risk_oracle=oracle.params["risk"],
         m_adaptive=float(m_hat),
-        m_oracle=float(ms[best]),
+        m_oracle=oracle.value,
         threshold_hit=record.threshold_hit,
     )
 

@@ -81,15 +81,16 @@ class XGrid:
                 "x-grid ends and their distance must be finite "
                 f"(got {self.x_min}, {self.x_max})"
             )
-        if not (self.x_min < self.x_max):
-            raise ParameterError(
-                f"x_min must be < x_max (got {self.x_min}, {self.x_max})"
-            )
         if self.count < 16:
             raise ParameterError(f"x-grid needs at least 16 points (got {self.count})")
         if self.count > ROOT_MODES:
             raise ParameterError(
                 f"x-grid holds at most {ROOT_MODES} points, the root grid's budget (got {self.count})"
+            )
+        if not self.spacing > np.spacing(max(abs(self.x_min), abs(self.x_max))):
+            raise ParameterError(
+                f"x_min must be < x_max with room for {self.count} distinct doubles "
+                f"(got {self.x_min}, {self.x_max})"
             )
 
     @property

@@ -212,6 +212,7 @@ def test_criterion_4_table_reproduction():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_5_trend_reproduction():
     t0 = time.perf_counter()
     report = run_grid(ScenarioGrid(replications=200, master_seed=5000))

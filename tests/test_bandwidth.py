@@ -289,6 +289,7 @@ def test_default_oracle_grid_shape():
     assert g[0] == pytest.approx(0.25)
     assert g[-1] == pytest.approx(4.0)
     assert np.all(np.diff(np.log(g)) > 0)
+    assert default_oracle_grid(0.2).tolist() == [0.2]
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,7 @@ def _bad_sample(kind):
         "one-1.7e308": np.append(sums, 1.7e308),
         "two-1e308": np.append(sums, [1e308, 1e308]),
         "constant": np.full(500, 2.0),
+        "near-constant": np.append(np.full(499, 2.0), 2.0000000000000004),
     }[kind]
 
 
@@ -306,6 +307,13 @@ def _bad_sample(kind):
         ("two-1e308", "explicit", "overflow a float (mean inf, sd(Y) inf)"),
         ("constant", "default", "sd(Y) is 0 (all 500 observations equal 2)"),
         ("constant", "explicit", None),
+        (
+            "near-constant",
+            "default",
+            "x_min must be < x_max with room for 1024 distinct doubles "
+            "(got 0.39999999999999997, 0.4000000000000001)",
+        ),
+        ("near-constant", "explicit", None),
     ],
     ids=[
         "one-1.7e308-default",
@@ -314,6 +322,8 @@ def _bad_sample(kind):
         "two-1e308-explicit",
         "constant-default",
         "constant-explicit",
+        "near-constant-default",
+        "near-constant-explicit",
     ],
 )
 def test_estimate_names_overflowing_or_spreadless_sample(tmp_path, capsys, kind, grid, named):
@@ -323,7 +333,7 @@ def test_estimate_names_overflowing_or_spreadless_sample(tmp_path, capsys, kind,
     out = tmp_path / "est"
     code = exit_code(["estimate", "--input", path, "--group-size", 5, "--out", out] + flags)
     err = capsys.readouterr().err
-    if named is None:  # a constant sample on a given grid is still an estimate
+    if named is None:  # a (near-)constant sample on a given grid is still an estimate
         assert code == 0
         assert np.all(np.isfinite(json.loads((tmp_path / "est.json").read_text())["values"]))
         return
@@ -444,6 +454,17 @@ def test_simulate_all_failed_exit_code(tmp_path):
          "--reps", 2, "--seed", 1, "--out", tmp_path / "f"]
     )
     assert code == 4
+
+
+def test_simulate_names_five_failures_and_counts_the_rest(tmp_path, capsys):
+    code = run_cli(
+        ["simulate", "--law", "normal", "--n", 2, "--group-size", 1,
+         "--reps", 7, "--seed", 1, "--out", tmp_path / "f"]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.count("warning: ") == 6
+    assert err.endswith("warning: ... 2 more\n")
 
 
 def test_simulate_bad_config_line(tmp_path, capsys):
@@ -575,6 +596,8 @@ def test_diagnose_validates_group_size(tmp_path, capsys):
         (["diagnose", "--gamma", "nan"], ["--gamma", "'nan'"]),
         (["diagnose", "--eta", "nan"], ["--eta", "'nan'"]),
         (["diagnose", "--eps", -1], ["eps=-1", "must be > 0"]),
+        (["estimate", "--cutoff", "bogus"], ["adaptive, oracle, or fixed:<m>", "'bogus'"]),
+        (["estimate", "--x-min", 0], ["--x-min and --x-max must be given together"]),
     ],
     ids=[
         "estimate-eta-nan",
@@ -587,6 +610,8 @@ def test_diagnose_validates_group_size(tmp_path, capsys):
         "diagnose-gamma-nan",
         "diagnose-eta-nan",
         "diagnose-eps-minus-1",
+        "estimate-cutoff-bogus",
+        "estimate-x-min-alone",
     ],
 )
 def test_bad_float_flag_exits_2_naming_it(tmp_path, normal_sum_file, capsys, args, named):
@@ -604,7 +629,8 @@ def test_bad_float_flag_exits_2_naming_it(tmp_path, normal_sum_file, capsys, arg
 
 # ---------------------------------------------------------------------------
 # imports: estimate, simulate and diagnose of a law with a numpy cf run on numpy
-# alone, and a single-worker simulate without the process-pool stack
+# alone, without numpy.ma, and a single-worker simulate without the
+# process-pool stack
 # ---------------------------------------------------------------------------
 
 _NO_SCIPY_SCRIPT = """
@@ -623,11 +649,11 @@ codes = [
     main(["diagnose", "--law", "laplace", "--n", "1000", "--group-size", "5", "--out", "diag"]),
 ]
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-pool = sorted(
+unused = sorted(
     m for m in sys.modules
-    if m.startswith("multiprocessing") or m == "concurrent.futures.process"
+    if m.startswith("multiprocessing") or m in ("concurrent.futures.process", "numpy.ma")
 )
-print(codes, loaded, pool)
+print(codes, loaded, unused)
 """
 
 

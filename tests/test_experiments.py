@@ -3,7 +3,6 @@ import concurrent.futures
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import groupdeconv
@@ -17,9 +16,9 @@ from groupdeconv.experiments import (
     run_grid,
     run_replication,
 )
-from groupdeconv.bandwidth import adaptive_cutoff, cap_spread, estimate, oracle_root, scan_grid
+from groupdeconv.bandwidth import adaptive_cutoff, cap_spread, estimate, oracle_cutoff, scan_grid
 from groupdeconv.errors import GroupDeconvError, ParameterError
-from groupdeconv.inversion import invert, l2_distance, oracle_risks
+from groupdeconv.inversion import invert, l2_distance
 from groupdeconv.rootlog import feasible_root
 from groupdeconv.samples import Gamma, Laplace, Normal, benchmark_laws, generate_grouped
 
@@ -92,21 +91,26 @@ def test_replication_adaptive_risk_is_the_inversion_at_m_hat():
 
 
 def test_estimate_and_the_simulation_score_one_oracle():
-    # estimate's oracle and run_replication read one root through oracle_root
-    # and score it alike; the simulation adds m_hat as its last candidate
+    # estimate's oracle and run_replication both take oracle_cutoff's record
+    # on the cell's table; the simulation adds m_hat as its last candidate
     n, k, seed = 2000, 5, (21, 4)
     for law in benchmark_laws().values():
         sample = generate_grouped(law, n, k, seed)
         est = estimate(sample, law_xgrid(law), "oracle", law=law)
-        ecf = cap_spread(sample)
-        root, candidates, _violation = oracle_root(ecf, extra=(adaptive_cutoff(ecf).value,))
-        ms, risks = oracle_risks(root, cell_table(law, n, k), candidates)
-        best = int(np.argmin(risks[:-1]))
-        assert est.cutoff_m == ms[best]
-        assert est.cutoff_rule["risk"] == pytest.approx(risks[best], rel=1e-12)
+        ecf, table = cap_spread(sample), cell_table(law, n, k)
+        record, _root, _risks = oracle_cutoff(ecf, table)
+        assert est.cutoff_rule == record.as_dict()
+        assert est.cutoff_m == record.value
+        record, _root, risks = oracle_cutoff(ecf, table, extra=(adaptive_cutoff(ecf).value,))
         r = run_replication(law, n, k, seed=seed)
-        assert (r.m_oracle, r.risk_oracle) == (ms[np.argmin(risks)], risks.min())
+        assert (r.m_oracle, r.risk_oracle) == (record.value, record.params["risk"])
         assert r.risk_adaptive == risks[-1]
+
+
+def test_replication_refuses_a_cutoff_below_one_grid_step():
+    # sd 1e6 puts the threshold crossing near 1e-3, a tenth of the root step
+    with pytest.raises(GroupDeconvError, match="is below one grid step"):
+        run_replication(Normal(0.0, 1e6), 500, 5, seed=0)
 
 
 def test_replication_risks_are_sane():
@@ -370,8 +374,9 @@ def test_only_inversion_maps_a_cutoff_to_the_grid():
 
 
 def test_only_bandwidth_reads_the_oracle_root():
-    # bandwidth.oracle_root reads the root and builds the candidates, and
-    # estimate and run_replication both call it
+    # bandwidth.oracle_cutoff reads the root, scores the candidates and picks
+    # the oracle; estimate and run_replication both call it, and no other
+    # caller scores candidates or takes an argmin of its own
     def callers(name):
         found = set()
         for path in Path(groupdeconv.__file__).parent.glob("*.py"):
@@ -382,7 +387,8 @@ def test_only_bandwidth_reads_the_oracle_root():
         return found
 
     assert callers("default_oracle_grid") == callers("feasible_root") == {"bandwidth"}
-    assert callers("oracle_root") == {"bandwidth", "experiments"}
+    assert callers("oracle_cutoff") == {"bandwidth", "experiments"}
+    assert callers("oracle_risks") == {"bandwidth"}
 
 
 def _runs_on_import(node):

@@ -39,6 +39,9 @@ def test_xgrid_validation():
         XGrid(1.0, 1.0, 100)
     with pytest.raises(ParameterError):
         XGrid(0.0, 1.0, 8)
+    # three distinct doubles, not 1024
+    with pytest.raises(ParameterError, match="x_min must be < x_max.*1024 distinct"):
+        XGrid(0.4, 0.4 + 1e-16, 1024)
     with pytest.raises(ParameterError, match="must be finite"):
         XGrid(-math.inf, 1.0, 64)
     with pytest.raises(ParameterError, match="must be finite"):
