@@ -140,9 +140,14 @@ _CONFIG_KEYS = {
 
 def _parse_config_file(path) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment; lists are
-    comma-separated.  Returns the values by ScenarioGrid field."""
+    comma-separated; UTF-8 after an optional byte-order mark.  Returns the
+    values by ScenarioGrid field."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError.undecodable(path, exc) from None
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -328,6 +333,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        out = Path(args.out)  # checked before any work, not after it
+        if not (out.name and out.parent.is_dir()):
+            raise ParameterError(f"--out must name a file in an existing directory (got '{args.out}')")
         return args.func(args)
     except (ParameterError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+from __future__ import annotations
 
 
 class GroupDeconvError(Exception):
@@ -15,6 +16,13 @@ class DataFormatError(GroupDeconvError, ValueError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
+
+    @classmethod
+    def undecodable(cls, path, exc: UnicodeDecodeError) -> DataFormatError:
+        """The error for a byte of ``path`` that is not UTF-8, on the line
+        after the line feeds before it."""
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        return cls(f"{path}: line {line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 text", line=line)
 
 
 class DenominatorTooSmall(GroupDeconvError, RuntimeError):

@@ -54,9 +54,8 @@ X_COUNT = 1024
 # Rows per block of oracle_risks' lower-triangular Hankel sums: bounds its
 # working set to a square of this many rows.
 _HANKEL_BLOCK = 128
-# An oracle table keeps the Hankel blocks that start below this grid index
-# (8 MiB of them); oracle_risks cuts any later block from T on each call.
-_HANKEL_KEPT = 1 << 13
+# The strict lower triangle of one block, which cuts each block from T.
+_LOWER = np.tri(_HANKEL_BLOCK, k=-1)
 
 
 @dataclass(frozen=True)
@@ -224,10 +223,8 @@ class OracleTable:
     and the root's ``grid`` but not on the root, up to top = ``grid.n_half``.
 
     ``t`` holds T(d) for d = 0 .. 2 top, ``phi`` Phi_j for j = 0 .. top,
-    ``weights`` the x-grid's trapezoid weights c_i, ``energy`` sum_i c_i
-    f_i^2, and ``blocks[r]`` the strictly lower triangle of the Hankel block
-    T(k + l), r <= k, l < r + _HANKEL_BLOCK, for the blocks the scorer cuts
-    below _HANKEL_KEPT (see ``oracle_risks``).
+    ``weights`` the x-grid's trapezoid weights c_i and ``energy`` sum_i c_i
+    f_i^2; the scorer cuts its Hankel blocks from ``t`` on each call.
     """
 
     xgrid: XGrid
@@ -236,21 +233,6 @@ class OracleTable:
     weights: np.ndarray
     t: np.ndarray
     phi: np.ndarray
-    blocks: dict
-
-
-def _lower_hankel(t: np.ndarray, r: int, e: int) -> np.ndarray:
-    """The strictly lower triangle of the Hankel block T(k + l), r <= k, l < e."""
-    return np.tril(sliding_window_view(t[2 * r : 2 * e - 1], e - r), -1)
-
-
-def _hankel_blocks(top: int, count: int):
-    """(lo, hi, r, e): the scorer's Hankel blocks [r, e) within its runs
-    [lo, hi) of one x-grid's count of grid indices up to ``top``."""
-    for lo in range(0, top + 1, count):
-        hi = min(lo + count, top + 1)
-        for r in range(lo, hi, _HANKEL_BLOCK):
-            yield lo, hi, r, min(r + _HANKEL_BLOCK, hi)
 
 
 def oracle_table(density, xgrid: XGrid, grid: UGrid) -> OracleTable:
@@ -271,15 +253,8 @@ def oracle_table(density, xgrid: XGrid, grid: UGrid) -> OracleTable:
     # sum_i row_i e^{-i (d s)(i dx)}, then the phase back to the midpoint
     sums = chirp_z(np.stack([weights, weights * target]), xgrid.spacing, 0.0, step, 2 * top + 1)
     sums *= np.exp(1j * half * step * np.arange(2 * top + 1))
-    t = sums[0].real
-    blocks = {
-        r: _lower_hankel(t, r, e)
-        for _lo, _hi, r, e in _hankel_blocks(top, xgrid.count)
-        if r < _HANKEL_KEPT
-    }
-    return OracleTable(
-        xgrid, grid, l2_distance(0.0, target, xgrid), weights, t, sums[1, : top + 1], blocks
-    )
+    energy = l2_distance(0.0, target, xgrid)
+    return OracleTable(xgrid, grid, energy, weights, sums[0].real, sums[1, : top + 1])
 
 
 def oracle_risks(root: RootEstimate, table: OracleTable, ms) -> tuple[np.ndarray, np.ndarray]:
@@ -308,10 +283,10 @@ def oracle_risks(root: RootEstimate, table: OracleTable, ms) -> tuple[np.ndarray
     Q and L are cumulative sums over k, the halved end weight a correction
     read at row k.  Q's terms need the Toeplitz and Hankel row sums of g
     against T up to k: within one x-grid's count of indices a causal
-    convolution and lower-triangular blocks of the view T(k + l) (the
-    table's, or cut per call past _HANKEL_KEPT), and through the partial
-    inversion on the x-grid for the indices before that (T's matrices have
-    rank <= the count), so the cost is linear in the largest index past it.
+    convolution and lower-triangular blocks of the view T(k + l), each cut
+    from T by one fixed mask, and through the partial inversion on the
+    x-grid for the indices before that (T's matrices have rank <= the
+    count), so the cost is linear in the largest index past it.
     Index 0 inverts to zero: risk sum_i c_i f_i^2.  The sums cancel by
     about that energy over the risk, and a risk is good to ~1e-15 of the
     energy.  Cutoffs sharing a grid point get bitwise-equal risks.
@@ -338,21 +313,21 @@ def oracle_risks(root: RootEstimate, table: OracleTable, ms) -> tuple[np.ndarray
         # rows[k] = sum_{l <= k} conj(g_l) T(k - l) + sum_{l < k} g_l T(k + l)
         rows = np.zeros(top + 1, dtype=complex)
         partial = np.zeros(xgrid.count)  # Re sum_{l < lo} g_l e^{-i xi u_l}
-        for lo, hi, r, e in _hankel_blocks(top, xgrid.count):
-            if r == lo:  # a run's first block: the whole run's Toeplitz sums
-                if lo:
-                    back = chirp_z(
-                        (2.0 * table.weights * partial)[np.newaxis], xgrid.spacing, lo * step, step, hi - lo
-                    )
-                    rows[lo:hi] = back[0] * np.exp(1j * half * u[lo:hi])
-                rows[lo:hi] += np.convolve(np.conj(g[lo:hi]), t[: hi - lo])[: hi - lo]
-            else:  # the columns lo <= l < r: a correlation
-                rows[r:e] += np.correlate(t[lo + r : r + e - 1], np.conj(g[lo:r]))
-            block = table.blocks.get(r)
-            if block is None:
-                block = _lower_hankel(t, r, e)
-            rows[r:e] += (block[: e - r, : e - r] @ pairs[r:e]).view(complex)[:, 0]
-            if e == hi < top + 1:
+        for lo in range(0, top + 1, xgrid.count):  # runs of one x-grid's count
+            hi = min(lo + xgrid.count, top + 1)
+            if lo:  # the columns l < lo, through the partial inversion
+                back = chirp_z(
+                    (2.0 * table.weights * partial)[np.newaxis], xgrid.spacing, lo * step, step, hi - lo
+                )
+                rows[lo:hi] = back[0] * np.exp(1j * half * u[lo:hi])
+            rows[lo:hi] += np.convolve(np.conj(g[lo:hi]), t[: hi - lo])[: hi - lo]
+            for r in range(lo, hi, _HANKEL_BLOCK):
+                e = min(r + _HANKEL_BLOCK, hi)
+                if r > lo:  # the columns lo <= l < r: a correlation
+                    rows[r:e] += np.correlate(t[lo + r : r + e - 1], np.conj(g[lo:r]))
+                block = sliding_window_view(t[2 * r : 2 * e - 1], e - r) * _LOWER[: e - r, : e - r]
+                rows[r:e] += (block @ pairs[r:e]).view(complex)[:, 0]
+            if hi < top + 1:
                 partial += chirp_z(g[np.newaxis, lo:hi], step, -half, xgrid.spacing, xgrid.count, lo)[0].real
 
         cross = (g * rows).real

@@ -335,15 +335,20 @@ def generate_grouped(law: TestLaw, n: int, group_size: int, seed) -> GroupedSamp
 def load_sample(path, group_size: float) -> GroupedSample:
     """Read one observation per line; a non-numeric first line is a header.
 
-    The group size is never inferred from the data.  The first malformed
-    entry is reported with its line number.
+    The text is UTF-8 after an optional byte-order mark.  The group size is
+    never inferred from the data.  The first malformed entry, or a byte
+    that is not UTF-8, is reported with its line number.
     """
     if not (np.isfinite(group_size) and group_size >= 1):
         raise ParameterError(f"group size must be >= 1 (got {group_size})")
-    values = _load_column(path)
-    if values is None:
-        # Python's float line by line: the exact value, message and line
-        values = np.array(_parse_lines(Path(path).read_text().splitlines()), dtype=float)
+    try:
+        values = _load_column(path)
+        if values is None:
+            # Python's float line by line: the exact value, message and line
+            text = Path(path).read_text(encoding="utf-8-sig")
+            values = np.array(_parse_lines(text.splitlines()), dtype=float)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError.undecodable(path, exc) from None
     if values.size < 2:
         raise DataFormatError(
             f"fewer than 2 observations in {path} (got {values.size})"
@@ -361,7 +366,7 @@ def _load_column(path):
     """
     if not Path(path).is_file():
         return None
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         first = fh.readline().splitlines()
     if len(first) > 1:
         return None  # a line break str.splitlines sees and loadtxt does not
@@ -376,7 +381,7 @@ def _load_column(path):
         # holding a row of numbers from a column of them
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            values = np.loadtxt(path, comments=None, skiprows=start, ndmin=2)
+            values = np.loadtxt(path, comments=None, skiprows=start, ndmin=2, encoding="utf-8-sig")
     except ValueError:
         return None
     if values.shape[1] != 1 or not np.all(np.isfinite(values)):

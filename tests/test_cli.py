@@ -467,6 +467,49 @@ def test_simulate_names_five_failures_and_counts_the_rest(tmp_path, capsys):
     assert err.endswith("warning: ... 2 more\n")
 
 
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        (b"\xef\xbb\xbflaws = normal\nreps = ten\n", "bom.cfg:2: bad value for 'reps'"),
+        (b"laws = normal\n# caf\xe9\nreps = 1\n", "bom.cfg: line 2: byte 0xe9 is not UTF-8"),
+    ],
+    ids=["bom", "bad-byte"],
+)
+def test_simulate_config_is_utf8_after_an_optional_bom(tmp_path, capsys, data, named):
+    # the mark is not part of the first key; a byte that is not UTF-8 is
+    # named by its line, even in a comment
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(data)
+    argv = ["simulate", "--config", cfg, "--n", 400, "--group-size", 2, "--out", tmp_path / "x"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--input", "y.csv", "--group-size", 5],
+        ["simulate", "--law", "normal", "--n", 5000, "--group-size", 5, "--reps", 200],
+        ["diagnose", "--law", "normal", "--n", 1000, "--group-size", 5],
+    ],
+    ids=["estimate", "simulate", "diagnose"],
+)
+@pytest.mark.parametrize("out", ["missing/r", "", "/"], ids=["missing-dir", "empty", "root"])
+def test_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, out):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("load_sample", "run_grid", "diagnostic_level"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"--out must name a file in an existing directory (got '{out}')" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_bad_config_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("laws: normal\n")
@@ -695,7 +738,14 @@ def test_estimate_exits_0_2_or_3_without_a_traceback(tmp_path_factory, data):
     if values:  # repeats of the values drawn, so ties and two-value files occur
         values += data.draw(st.lists(st.sampled_from(values), max_size=20), label="repeats")
     path = tmp_path_factory.mktemp("contract") / "y.txt"
-    path.write_text("".join(f"{v!r}\n" for v in values))
+    raw = "".join(f"{v!r}\n" for v in values).encode()
+    twist = data.draw(st.sampled_from([None, "bom", "bad-byte"]), label="encoding")
+    if twist == "bom":
+        raw = b"\xef\xbb\xbf" + raw
+    elif twist == "bad-byte":  # a lone 0xe9 is never UTF-8
+        at = data.draw(st.integers(0, len(raw)), label="bad byte at")
+        raw = raw[:at] + b"\xe9" + raw[at:]
+    path.write_bytes(raw)
     cutoff = data.draw(
         st.one_of(
             st.sampled_from(["adaptive", "oracle"]),

@@ -1,13 +1,14 @@
 import functools
 import json
 import math
-from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupdeconv.bandwidth import scan_grid
 from groupdeconv.charfn import CfEvaluation, UGrid
 from groupdeconv.errors import CutoffExceedsRange, ParameterError
 from groupdeconv.inversion import (
@@ -212,18 +213,29 @@ def test_prefix_risks_match_single_inversions(case, law, fractions, data):
 
 @pytest.mark.parametrize("case", PREFIX_CASES)
 def test_oracle_table_for_a_larger_top_scores_like_a_fresh_one(case):
-    # the scorer reads prefixes of T, Phi and the Hankel blocks of a table
-    # built for a larger top; with no blocks kept it cuts each one from T
+    # the scorer reads prefixes of T and Phi of a table built for a larger top
     _make_root, xg, ms = PREFIX_CASES[case]
     root = prefix_case_root(case)
     density = Normal(2.0, 1.0).pdf
     fresh = oracle_table(density, xg, root.grid)
     larger = oracle_table(density, xg, UGrid((3 * root.grid.n_half + 7) * root.grid.step, root.grid.step))
     cutoffs, want = oracle_risks(root, fresh, ms)
-    for table in (larger, replace(fresh, blocks={})):
-        got_cutoffs, got = oracle_risks(root, table, ms)
-        assert got_cutoffs.tolist() == cutoffs.tolist()
-        np.testing.assert_allclose(got, want, rtol=1e-13)
+    got_cutoffs, got = oracle_risks(root, larger, ms)
+    assert got_cutoffs.tolist() == cutoffs.tolist()
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def test_oracle_table_retains_no_hankel_blocks():
+    # T, Phi and the weights of the K = 2, n = 10^4 scan grid are under
+    # 1 MiB; the scorer cuts its Hankel blocks from T on each call
+    tracemalloc.start()
+    try:
+        table = oracle_table(Normal(2.0, 1.0).pdf, XGrid(-6.0, 10.0), scan_grid(10**4, 2))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.grid.n_half > 10**4
+    assert retained < 2 << 20
 
 
 def test_oracle_table_of_another_step_or_too_small_a_top_is_refused():

@@ -277,10 +277,15 @@ def test_load_plain_file(tmp_path):
 
 
 def test_load_detects_header(tmp_path):
+    # a UTF-8 byte-order mark is not part of the first line
     p = tmp_path / "y.csv"
-    p.write_text("y\n1.5\n2.5\n")
-    s = load_sample(p, 5.0)
-    np.testing.assert_array_equal(s.observations, [1.5, 2.5])
+    for data, expected in [
+        (b"y\n1.5\n2.5\n", [1.5, 2.5]),
+        (b"\xef\xbb\xbf1.5\n2.5\n3.5\n4.5\n", [1.5, 2.5, 3.5, 4.5]),
+        (b"\xef\xbb\xbfy\n1.5\n2.5\n", [1.5, 2.5]),
+    ]:
+        p.write_bytes(data)
+        np.testing.assert_array_equal(load_sample(p, 5.0).observations, expected)
 
 
 def test_load_empty_file_errors(tmp_path):
@@ -299,14 +304,18 @@ def test_load_reports_malformed_line(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text,lineno,problem",
+    "data,lineno,problem",
     [
-        ("1.0\n2.0\nnan\n4.0\n", 3, "non-finite"),
-        ("y\n1.0\nnan\n", 3, "non-finite"),
-        ("y\n1.0\n2.0\n-inf\n", 4, "non-finite"),
-        ("1.0\n\nnan\n", 3, "non-finite"),
-        ("y\n1.0\n\n2.0\nabc\n", 5, "could not parse"),
-        ("1.0\nnan\nabc\n", 2, "non-finite"),
+        (b"1.0\n2.0\nnan\n4.0\n", 3, "non-finite"),
+        (b"y\n1.0\nnan\n", 3, "non-finite"),
+        (b"y\n1.0\n2.0\n-inf\n", 4, "non-finite"),
+        (b"1.0\n\nnan\n", 3, "non-finite"),
+        (b"y\n1.0\n\n2.0\nabc\n", 5, "could not parse"),
+        (b"1.0\nnan\nabc\n", 2, "non-finite"),
+        (b"\xef\xbb\xbf1.0\nnan\n", 2, "non-finite"),
+        (b"1\xe9\n2.0\n3.0\n", 1, "byte 0xe9 is not UTF-8"),
+        (b"1.0\n2.0\n3\xe9\n4.0\n", 3, "byte 0xe9 is not UTF-8"),
+        (b"\xef\xbb\xbfy\n1.0\n\xe9\n", 3, "byte 0xe9 is not UTF-8"),
     ],
     ids=[
         "nan",
@@ -315,11 +324,15 @@ def test_load_reports_malformed_line(tmp_path):
         "nan-after-blank",
         "bad-after-blank",
         "nan-before-bad",
+        "nan-after-bom",
+        "bad-byte-line-1",
+        "bad-byte-line-3",
+        "bad-byte-after-bom",
     ],
 )
-def test_load_names_first_bad_line(tmp_path, text, lineno, problem):
+def test_load_names_first_bad_line(tmp_path, data, lineno, problem):
     p = tmp_path / "bad.csv"
-    p.write_text(text)
+    p.write_bytes(data)
     with pytest.raises(DataFormatError, match=f"line {lineno}: {problem}") as exc:
         load_sample(p, 2.0)
     assert exc.value.line == lineno
@@ -379,20 +392,24 @@ def test_load_large_file_matches_python_float(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_load_reads_a_pipe_once(tmp_path):
-    # a pipe (--input <(zcat y.gz), say) gives its data to one reader only
-    fifo = tmp_path / "y.fifo"
-    os.mkfifo(fifo)
-    text = "y\n" + "\n".join(map(str, range(5000))) + "\n"
-
-    def write():
-        with open(fifo, "w") as fh:
-            fh.write(text)
-
-    writer = threading.Thread(target=write, daemon=True)
-    writer.start()
-    s = load_sample(fifo, 2.0)
-    writer.join(timeout=10)
-    np.testing.assert_array_equal(s.observations, np.arange(5000.0))
+    # a pipe (--input <(zcat y.gz), say) gives its data to one reader only,
+    # with or without a byte-order mark; a byte that is not UTF-8 is named
+    body = "\n".join(map(str, range(5000))).encode() + b"\n"
+    for i, (head, bad_line) in enumerate(
+        [(b"y\n", None), (b"\xef\xbb\xbf", None), (b"\xef\xbb\xbfy\n", None), (b"y\n\xe9\n", 2)]
+    ):
+        fifo = tmp_path / f"y{i}.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(head + body,), daemon=True)
+        writer.start()
+        if bad_line is None:
+            s = load_sample(fifo, 2.0)
+            np.testing.assert_array_equal(s.observations, np.arange(5000.0))
+        else:
+            with pytest.raises(DataFormatError, match=f"line {bad_line}: byte 0xe9") as exc:
+                load_sample(fifo, 2.0)
+            assert exc.value.line == bad_line
+        writer.join(timeout=10)
 
 
 def test_load_rejects_group_size(tmp_path):
