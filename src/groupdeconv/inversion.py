@@ -254,7 +254,9 @@ def oracle_table(density, xgrid: XGrid, grid: UGrid) -> OracleTable:
     sums = chirp_z(np.stack([weights, weights * target]), xgrid.spacing, 0.0, step, 2 * top + 1)
     sums *= np.exp(1j * half * step * np.arange(2 * top + 1))
     energy = l2_distance(0.0, target, xgrid)
-    return OracleTable(xgrid, grid, energy, weights, sums[0].real, sums[1, : top + 1])
+    # copies, so the table does not keep the whole transform alive
+    t, phi = sums[0].real.copy(), sums[1, : top + 1].copy()
+    return OracleTable(xgrid, grid, energy, weights, t, phi)
 
 
 def oracle_risks(root: RootEstimate, table: OracleTable, ms) -> tuple[np.ndarray, np.ndarray]:

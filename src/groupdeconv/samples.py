@@ -8,6 +8,7 @@ simulation study.
 """
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -338,14 +339,25 @@ def load_sample(path, group_size: float) -> GroupedSample:
     The text is UTF-8 after an optional byte-order mark.  The group size is
     never inferred from the data.  The first malformed entry, or a byte
     that is not UTF-8, is reported with its line number.
+
+    Three readers give the same values: ``_read_decimals`` for a column of
+    plain decimals, ``np.loadtxt`` for other numbers in a regular file, and
+    Python's ``float`` line by line for the rest and for every error.
     """
     if not (np.isfinite(group_size) and group_size >= 1):
         raise ParameterError(f"group size must be >= 1 (got {group_size})")
     try:
-        values = _load_column(path)
+        # a pipe gives its bytes once: keep them for the line-by-line pass
+        data = None if Path(path).is_file() else Path(path).read_bytes()
+        with open(path, "rb") if data is None else io.BytesIO(data) as fh:
+            values = _read_decimals(fh)
+        if values is None and data is None:
+            values = _load_column(path)
         if values is None:
             # Python's float line by line: the exact value, message and line
-            text = Path(path).read_text(encoding="utf-8-sig")
+            if data is None:
+                data = Path(path).read_bytes()
+            text = data.decode("utf-8-sig")
             values = np.array(_parse_lines(text.splitlines()), dtype=float)
     except UnicodeDecodeError as exc:
         raise DataFormatError.undecodable(path, exc) from None
@@ -356,16 +368,129 @@ def load_sample(path, group_size: float) -> GroupedSample:
     return GroupedSample(values, float(group_size))
 
 
+# Text is read a block of about this many bytes at a time, cut at a line feed.
+_TEXT_BLOCK = 1 << 18
+# A plain decimal: an optional sign, 1 to 18 digits and at most one point.
+_PLAIN_DIGITS = 18
+# W / 10^s in long double is the exact quotient rounded once only where
+# long double is x87 extended: its 64-bit significand holds every W <
+# 10^18 < 2^63 and every 10^s (5^18 < 2^64) exactly.
+_EXTENDED = np.finfo(np.longdouble).nmant == 63
+_POW10 = np.array([10**s for s in range(_PLAIN_DIGITS + 1)])  # exact doubles too
+
+
+def _read_decimals(fh):
+    """The values of a binary file of plain decimals, one per line after an
+    optional header, bit for bit as Python's ``float`` reads them; None for
+    any other text (an exponent, a space, a CR or a blank line, say) or
+    where long double is not x87 extended.
+
+    The file is read twice, a block at a time: once to count its lines,
+    once to parse them into one array of that size.  It is never held
+    whole.
+    """
+    if not _EXTENDED:
+        return None
+    first = fh.readline(_TEXT_BLOCK)
+    if len(first) == _TEXT_BLOCK:
+        return None  # leave a line this long to the other readers
+    first = first.removeprefix(b"\xef\xbb\xbf")
+    try:
+        (line,) = first.decode().splitlines()
+    except ValueError:
+        return None  # not UTF-8, no line, or more than one to str.splitlines
+    try:
+        float(line)
+        rest = first
+    except ValueError:
+        rest = b""  # a header
+    start, lines, last = fh.tell(), rest.count(b"\n"), rest
+    while chunk := fh.read(_TEXT_BLOCK):
+        lines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+        last = chunk
+    if last and not last.endswith(b"\n"):
+        lines += 1
+    fh.seek(start)
+    values = np.empty(lines)
+    done = 0
+    while True:
+        chunk = fh.read(_TEXT_BLOCK)
+        if not chunk:
+            if not rest:
+                return values
+            chunk = b"\n"  # the last line's missing line feed
+        text = rest + chunk
+        cut = text.rfind(b"\n") + 1
+        text, rest = text[:cut], text[cut:]
+        if len(rest) > _PLAIN_DIGITS + 2:
+            return None  # longer than any plain decimal
+        if text:
+            part = _decimal_block(text)
+            if part is None:
+                return None
+            values[done : done + part.size] = part
+            done += part.size
+
+
+def _decimal_block(text: bytes):
+    """The values of lines of plain decimals, each ended by a line feed;
+    None if a line is not one.
+
+    The digits of each line, its point dropped, are read as an int64 W by
+    numpy's integer parser, and divided by 10^s, s the digits after the
+    point.  Where no line has more than 15 digits, W and 10^s are exact
+    doubles and one float64 division rounds once (Clinger's fast path).
+    Otherwise the division is in long double, then cast to float64: that
+    double rounding differs from Python's single one only where the long
+    double lies on a midpoint of two doubles, and those lines are read
+    again by ``float``.
+    """
+    buf = np.frombuffer(text, dtype=np.uint8)
+    digits_text = text.translate(None, b".")
+    ends = np.flatnonzero(buf == ord("\n"))
+    # each line feed moves back by the points before it once they are dropped
+    moved = ends - np.flatnonzero(np.frombuffer(digits_text, dtype=np.uint8) == ord("\n"))
+    points = np.diff(moved, prepend=0)  # per line
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lead = buf[starts]
+    signed = (lead == ord("+")) | (lead == ord("-"))
+    digits = ends - starts - signed - points
+    non_digits = np.count_nonzero(buf - ord("0") > 9)  # uint8 wraps below '0'
+    if (
+        non_digits != ends.size + moved[-1] + np.count_nonzero(signed)
+        or points.max() > 1
+        or digits.min() < 1
+        or digits.max() > _PLAIN_DIGITS
+    ):
+        return None
+    w = np.fromstring(digits_text, dtype=np.int64, sep="\n")
+    rows = np.flatnonzero(points)  # the k-th point is on the k-th of these
+    scale = np.zeros(ends.size, dtype=np.intp)
+    scale[rows] = ends[rows] - np.flatnonzero(buf == ord(".")) - 1
+    if digits.max() <= 15:  # W < 10^15 < 2^53
+        values = w / _POW10[scale]
+    else:
+        exact = w.astype(np.longdouble) / _POW10[scale]
+        values = exact.astype(np.float64)
+        # a midpoint is half a spacing from the double, or a quarter of one
+        # below a power of two; the difference is exact as a double, and 0
+        # where the quotient is a double (a zero's half spacing is 0 too)
+        off = np.abs((exact - values).astype(np.float64))
+        half = np.abs(np.spacing(values)) / 2
+        for i in np.flatnonzero(((off == half) | (off == half / 2)) & (off > 0)):
+            values[i] = float(text[starts[i] : ends[i]])
+    np.copysign(values, -1.0, out=values, where=lead == ord("-"))  # "-0"
+    return values
+
+
 def _load_column(path):
     """A regular file of one finite number per line after an optional
     header, read by the C parser; None for anything else.
 
-    The path is opened twice (first line, then ``np.loadtxt``), which a
-    pipe does not allow.  A path, not an open file or a list of lines, is
+    The path is opened twice (first line, then ``np.loadtxt``), so it must
+    not be a pipe.  A path, not an open file or a list of lines, is
     what keeps ``np.loadtxt`` on its chunked C reader.
     """
-    if not Path(path).is_file():
-        return None
     with open(path, encoding="utf-8-sig") as fh:
         first = fh.readline().splitlines()
     if len(first) > 1:
@@ -402,11 +527,11 @@ def _parse_lines(lines) -> list:
             if lineno == 1 and not values:
                 continue  # header line
             raise DataFormatError(
-                f"line {lineno}: could not parse '{token}' as a number", line=lineno
+                f"line {lineno}: could not parse {token!r} as a number", line=lineno
             ) from None
         if not math.isfinite(v):
             raise DataFormatError(
-                f"line {lineno}: non-finite observation '{token}'", line=lineno
+                f"line {lineno}: non-finite observation {token!r}", line=lineno
             )
         values.append(v)
     return values

@@ -1,11 +1,15 @@
 import math
 import os
 import threading
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from groupdeconv import samples
 from groupdeconv._fourier import BLOCK
 from groupdeconv.errors import DataFormatError, ParameterError
 from groupdeconv.samples import (
@@ -316,6 +320,15 @@ def test_load_reports_malformed_line(tmp_path):
         (b"1\xe9\n2.0\n3.0\n", 1, "byte 0xe9 is not UTF-8"),
         (b"1.0\n2.0\n3\xe9\n4.0\n", 3, "byte 0xe9 is not UTF-8"),
         (b"\xef\xbb\xbfy\n1.0\n\xe9\n", 3, "byte 0xe9 is not UTF-8"),
+        # a control character is quoted as an escape, never sent raw
+        (b"1.0\n\x00\n3.0\n", 2, r"could not parse '\\x00'"),
+        (b"1.0\n2.0\n\x1b[2J\n", 3, r"could not parse '\\x1b\[2J'"),
+        # signs, digits and points that Python's float refuses
+        (b"1.5\n1.2.3\n", 2, "could not parse"),
+        (b"1.5\n1-2\n", 2, "could not parse"),
+        (b"1.5\n+.\n", 2, "could not parse"),
+        (b"1.5\n+-1\n", 2, "could not parse"),
+        (b"1.5\n1.+\n", 2, "could not parse"),
     ],
     ids=[
         "nan",
@@ -328,6 +341,13 @@ def test_load_reports_malformed_line(tmp_path):
         "bad-byte-line-1",
         "bad-byte-line-3",
         "bad-byte-after-bom",
+        "nul",
+        "ansi-escape",
+        "two-points",
+        "inner-sign",
+        "sign-and-point",
+        "two-signs",
+        "trailing-sign",
     ],
 )
 def test_load_names_first_bad_line(tmp_path, data, lineno, problem):
@@ -388,6 +408,122 @@ def test_load_large_file_matches_python_float(tmp_path):
     got = load_sample(p, 5.0).observations
     np.testing.assert_array_equal(got, expected)
     np.testing.assert_array_equal(got, y)
+
+
+def _gumbel_repr_column(path, header=b""):
+    y = generate_grouped(Gumbel(3.0, 1.0), 10**4, 5, seed=3).observations
+    path.write_bytes(header + "\n".join(map(repr, y.tolist())).encode() + b"\n")
+    return y
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an earlier reader should have served this file")
+
+
+@pytest.mark.parametrize("header", [b"", b"y\n", b"\xef\xbb\xbfy\n"], ids=["bare", "header", "bom"])
+def test_load_reads_a_repr_column_without_loadtxt(tmp_path, monkeypatch, header):
+    # the benchmark's data file: 16-17 digit decimals, one per line
+    p = tmp_path / "y.csv"
+    y = _gumbel_repr_column(p, header)
+    monkeypatch.setattr(np, "loadtxt", _refuse)
+    monkeypatch.setattr(samples, "_parse_lines", _refuse)
+    np.testing.assert_array_equal(load_sample(p, 5.0).observations, y)
+
+
+def test_load_without_extended_long_double_gives_the_same_values(tmp_path, monkeypatch):
+    # where long double is not x87 extended np.loadtxt reads the file
+    p = tmp_path / "y.csv"
+    y = _gumbel_repr_column(p)
+    fast = load_sample(p, 5.0).observations
+    monkeypatch.setattr(samples, "_EXTENDED", False)
+    monkeypatch.setattr(samples, "_parse_lines", _refuse)
+    np.testing.assert_array_equal(load_sample(p, 5.0).observations, fast)
+    np.testing.assert_array_equal(fast, y)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_reads_a_pipe_of_plain_decimals_in_blocks(tmp_path, monkeypatch):
+    fifo = tmp_path / "y.fifo"
+    y = _gumbel_repr_column(tmp_path / "y.csv")
+    os.mkfifo(fifo)
+    data = (tmp_path / "y.csv").read_bytes()
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    monkeypatch.setattr(samples, "_parse_lines", _refuse)
+    np.testing.assert_array_equal(load_sample(fifo, 5.0).observations, y)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        # the long double lies on a midpoint of two doubles and the exact
+        # value does not: a second rounding would go the wrong way
+        "369955.796592912724",
+        "-529628.098680765077",
+        "86128.9216073380594",
+        # 16 digits past 2^53: W is no exact double, so the long double path
+        "90.39856167596325",
+        "9.065583532520021",
+        # exact midpoints: 2^53 + 1, 2^53 + 3, and 2^53 - 1/2 below a power of two
+        "9007199254740993",
+        "9007199254740995",
+        "9007199254740991.5",
+        "-0",
+        "-.000",
+        "+.5",
+        "5.",
+    ],
+)
+def test_load_reads_midpoints_and_signs_as_python_float(tmp_path, monkeypatch, line):
+    p = tmp_path / "y.csv"
+    p.write_text(f"{line}\n1\n{line}")  # the last line without a line feed
+    monkeypatch.setattr(np, "loadtxt", _refuse)
+    got = load_sample(p, 2.0).observations
+    np.testing.assert_array_equal(_bits(got), _bits([float(line), 1.0, float(line)]))
+
+
+@st.composite
+def _decimal_lines(draw):
+    """A plain decimal of 1-20 digits, or one of 17 or 18 significant digits
+    next to the midpoint of two doubles, on either side of it."""
+    if draw(st.booleans()):
+        digits = draw(st.text("0123456789", min_size=1, max_size=20))
+        point = draw(st.none() | st.integers(0, len(digits)))
+        if point is not None:
+            digits = f"{digits[:point]}.{digits[point:]}"
+        return draw(st.sampled_from(["", "+", "-"])) + digits
+    x = draw(st.floats(0.1, 1e6))
+    exact = Context(prec=1000)
+    mid = exact.divide(exact.add(Decimal(x), Decimal(math.nextafter(x, math.inf))), 2)
+    context = Context(
+        prec=draw(st.sampled_from([17, 18])),
+        rounding=draw(st.sampled_from([ROUND_FLOOR, ROUND_CEILING])),
+    )
+    return draw(st.sampled_from(["", "-"])) + format(context.plus(mid), "f")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    lines=st.lists(_decimal_lines(), min_size=2, max_size=40),
+    header=st.sampled_from(["", "y\n", "\ufeff", "\ufeffy\n"]),
+    end=st.sampled_from(["", "\n"]),
+)
+def test_load_of_plain_decimals_is_python_float_bit_for_bit(tmp_path_factory, lines, header, end):
+    # 19 or 20 digits take np.loadtxt, 18 or fewer the block reader; both
+    # must read each line, -0 included, as Python's float does
+    p = tmp_path_factory.mktemp("decimals") / "y.csv"
+    p.write_text(header + "\n".join(lines) + end, encoding="utf-8")
+    plain = all(len(line.lstrip("+-").replace(".", "")) <= 18 for line in lines)
+    with open(p, "rb") as fh:
+        assert (samples._read_decimals(fh) is not None) == plain
+    got = load_sample(p, 2.0).observations
+    np.testing.assert_array_equal(_bits(got), _bits([float(line) for line in lines]))
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
