@@ -376,7 +376,22 @@ _PLAIN_DIGITS = 18
 # long double is x87 extended: its 64-bit significand holds every W <
 # 10^18 < 2^63 and every 10^s (5^18 < 2^64) exactly.
 _EXTENDED = np.finfo(np.longdouble).nmant == 63
-_POW10 = np.array([10**s for s in range(_PLAIN_DIGITS + 1)])  # exact doubles too
+_POW10 = np.array([10**s for s in range(_PLAIN_DIGITS + 1)])  # int64
+
+
+def _header_lines(first: str):
+    """1 if the first line of a file, decoded and after any byte-order
+    mark, is a header (no number to Python's ``float``), else 0; None if
+    it holds a line break that ``str.splitlines`` sees and ``np.loadtxt``
+    does not, which leaves the file to the line-by-line pass."""
+    lines = first.splitlines() or [""]
+    if len(lines) > 1:
+        return None
+    try:
+        float(lines[0])
+    except ValueError:
+        return 1
+    return 0
 
 
 def _read_decimals(fh):
@@ -385,9 +400,9 @@ def _read_decimals(fh):
     any other text (an exponent, a space, a CR or a blank line, say) or
     where long double is not x87 extended.
 
-    The file is read twice, a block at a time: once to count its lines,
-    once to parse them into one array of that size.  It is never held
-    whole.
+    The file is read once, a block at a time, into an array of one double
+    per two bytes left after the header (a plain line takes at least two),
+    cut to the lines read at the end: only the pages written are backed.
     """
     if not _EXTENDED:
         return None
@@ -396,27 +411,24 @@ def _read_decimals(fh):
         return None  # leave a line this long to the other readers
     first = first.removeprefix(b"\xef\xbb\xbf")
     try:
-        (line,) = first.decode().splitlines()
-    except ValueError:
-        return None  # not UTF-8, no line, or more than one to str.splitlines
+        header = _header_lines(first.decode())
+    except UnicodeDecodeError:
+        return None
+    if header is None:
+        return None
+    rest = b"" if header else first
+    start = fh.tell()
     try:
-        float(line)
-        rest = first
-    except ValueError:
-        rest = b""  # a header
-    start, lines, last = fh.tell(), rest.count(b"\n"), rest
-    while chunk := fh.read(_TEXT_BLOCK):
-        lines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
-        last = chunk
-    if last and not last.endswith(b"\n"):
-        lines += 1
+        values = np.empty((fh.seek(0, io.SEEK_END) - start + len(rest)) // 2 + 1)
+    except MemoryError:
+        return None  # np.loadtxt grows its array as it reads
     fh.seek(start)
-    values = np.empty(lines)
     done = 0
     while True:
         chunk = fh.read(_TEXT_BLOCK)
         if not chunk:
             if not rest:
+                values.resize(done, refcheck=False)
                 return values
             chunk = b"\n"  # the last line's missing line feed
         text = rest + chunk
@@ -426,8 +438,8 @@ def _read_decimals(fh):
             return None  # longer than any plain decimal
         if text:
             part = _decimal_block(text)
-            if part is None:
-                return None
+            if part is None or done + part.size > values.size:
+                return None  # not plain decimals, or a file that grew as it was read
             values[done : done + part.size] = part
             done += part.size
 
@@ -437,13 +449,10 @@ def _decimal_block(text: bytes):
     None if a line is not one.
 
     The digits of each line, its point dropped, are read as an int64 W by
-    numpy's integer parser, and divided by 10^s, s the digits after the
-    point.  Where no line has more than 15 digits, W and 10^s are exact
-    doubles and one float64 division rounds once (Clinger's fast path).
-    Otherwise the division is in long double, then cast to float64: that
-    double rounding differs from Python's single one only where the long
-    double lies on a midpoint of two doubles, and those lines are read
-    again by ``float``.
+    numpy's integer parser, and divided by 10^s in long double, s the
+    digits after the point, then cast to float64.  That double rounding
+    differs from Python's single one only where the long double lies on a
+    midpoint of two doubles, and those lines are read again by ``float``.
     """
     buf = np.frombuffer(text, dtype=np.uint8)
     digits_text = text.translate(None, b".")
@@ -467,18 +476,15 @@ def _decimal_block(text: bytes):
     rows = np.flatnonzero(points)  # the k-th point is on the k-th of these
     scale = np.zeros(ends.size, dtype=np.intp)
     scale[rows] = ends[rows] - np.flatnonzero(buf == ord(".")) - 1
-    if digits.max() <= 15:  # W < 10^15 < 2^53
-        values = w / _POW10[scale]
-    else:
-        exact = w.astype(np.longdouble) / _POW10[scale]
-        values = exact.astype(np.float64)
-        # a midpoint is half a spacing from the double, or a quarter of one
-        # below a power of two; the difference is exact as a double, and 0
-        # where the quotient is a double (a zero's half spacing is 0 too)
-        off = np.abs((exact - values).astype(np.float64))
-        half = np.abs(np.spacing(values)) / 2
-        for i in np.flatnonzero(((off == half) | (off == half / 2)) & (off > 0)):
-            values[i] = float(text[starts[i] : ends[i]])
+    exact = w.astype(np.longdouble) / _POW10[scale]
+    values = exact.astype(np.float64)
+    # a midpoint is half a spacing from the double, or a quarter of one
+    # below a power of two; the difference is exact as a double, and 0
+    # where the quotient is a double (a zero's half spacing is 0 too)
+    off = np.abs((exact - values).astype(np.float64))
+    half = np.abs(np.spacing(values)) / 2
+    for i in np.flatnonzero(((off == half) | (off == half / 2)) & (off > 0)):
+        values[i] = float(text[starts[i] : ends[i]])
     np.copysign(values, -1.0, out=values, where=lead == ord("-"))  # "-0"
     return values
 
@@ -492,15 +498,9 @@ def _load_column(path):
     what keeps ``np.loadtxt`` on its chunked C reader.
     """
     with open(path, encoding="utf-8-sig") as fh:
-        first = fh.readline().splitlines()
-    if len(first) > 1:
-        return None  # a line break str.splitlines sees and loadtxt does not
-    start = 0
-    if first:
-        try:
-            float(first[0])
-        except ValueError:
-            start = 1  # header line (or a blank one, skipped either way)
+        start = _header_lines(fh.readline())
+    if start is None:
+        return None
     try:
         # comments=None keeps '#' an error; ndmin=2 tells a one-line file
         # holding a row of numbers from a column of them

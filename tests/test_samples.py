@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import threading
@@ -420,6 +421,11 @@ def _refuse(*args, **kwargs):
     raise AssertionError("an earlier reader should have served this file")
 
 
+# where long double is not x87 extended np.loadtxt reads what the block reader would
+_needs_block_reader = pytest.mark.skipif(not samples._EXTENDED, reason="no x87 long double")
+
+
+@_needs_block_reader
 @pytest.mark.parametrize("header", [b"", b"y\n", b"\xef\xbb\xbfy\n"], ids=["bare", "header", "bom"])
 def test_load_reads_a_repr_column_without_loadtxt(tmp_path, monkeypatch, header):
     # the benchmark's data file: 16-17 digit decimals, one per line
@@ -441,6 +447,7 @@ def test_load_without_extended_long_double_gives_the_same_values(tmp_path, monke
     np.testing.assert_array_equal(fast, y)
 
 
+@_needs_block_reader
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_load_reads_a_pipe_of_plain_decimals_in_blocks(tmp_path, monkeypatch):
     fifo = tmp_path / "y.fifo"
@@ -455,10 +462,34 @@ def test_load_reads_a_pipe_of_plain_decimals_in_blocks(tmp_path, monkeypatch):
     assert not writer.is_alive()
 
 
+class _Resized(io.BytesIO):
+    """A file whose end, as a seek to it reports, is `by` bytes off, as if
+    the file changed between that seek and the reads."""
+
+    def __init__(self, data, by):
+        super().__init__(data)
+        self.by = by
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        end = super().seek(pos, whence)
+        return end + self.by if whence == io.SEEK_END else end
+
+
+@_needs_block_reader
+def test_read_decimals_takes_a_file_that_changes_as_it_is_read():
+    data = b"1.5\n" * 100
+    # a file that shrank gives the lines read, none left unset
+    np.testing.assert_array_equal(samples._read_decimals(_Resized(data, 1000)), np.full(100, 1.5))
+    # one that grew, or one too large to size an array by, goes to the other readers
+    assert samples._read_decimals(_Resized(data, -300)) is None
+    assert samples._read_decimals(_Resized(data, 2**59)) is None
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+@_needs_block_reader
 @pytest.mark.parametrize(
     "line",
     [
@@ -467,7 +498,7 @@ def _bits(values):
         "369955.796592912724",
         "-529628.098680765077",
         "86128.9216073380594",
-        # 16 digits past 2^53: W is no exact double, so the long double path
+        # 16 digits past 2^53: W is no exact double
         "90.39856167596325",
         "9.065583532520021",
         # exact midpoints: 2^53 + 1, 2^53 + 3, and 2^53 - 1/2 below a power of two
@@ -515,13 +546,13 @@ def _decimal_lines(draw):
     end=st.sampled_from(["", "\n"]),
 )
 def test_load_of_plain_decimals_is_python_float_bit_for_bit(tmp_path_factory, lines, header, end):
-    # 19 or 20 digits take np.loadtxt, 18 or fewer the block reader; both
-    # must read each line, -0 included, as Python's float does
+    # 19 or 20 digits take np.loadtxt, 18 or fewer the block reader where
+    # there is one; both must read each line, -0 included, as float does
     p = tmp_path_factory.mktemp("decimals") / "y.csv"
     p.write_text(header + "\n".join(lines) + end, encoding="utf-8")
     plain = all(len(line.lstrip("+-").replace(".", "")) <= 18 for line in lines)
     with open(p, "rb") as fh:
-        assert (samples._read_decimals(fh) is not None) == plain
+        assert (samples._read_decimals(fh) is not None) == (plain and samples._EXTENDED)
     got = load_sample(p, 2.0).observations
     np.testing.assert_array_equal(_bits(got), _bits([float(line) for line in lines]))
 
