@@ -15,6 +15,7 @@ comparing the data-driven cutoff against what the risk analysis predicts.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .charfn import SpreadEcf, UGrid, bisect_crossing
 from .errors import LevelNotReached, ParameterError
-from .inversion import DensityEstimate, OracleTable, XGrid, invert, oracle_risks, oracle_table
+from .inversion import DensityEstimate, XGrid, invert, oracle_risks, oracle_table
 from .rootlog import MAX_STEP, distinguished_root, feasible_root, root_grid
 from .samples import GroupedSample, TestLaw
 
@@ -144,16 +145,25 @@ def default_oracle_grid(u_hi: float) -> np.ndarray:
     return np.geomspace(0.25, u_hi, 60)
 
 
-def oracle_cutoff(ecf: SpreadEcf, table: OracleTable, extra=()):
-    """(record, root, risks) of the oracle on ``table``: the ``feasible_root``
-    on the ``scan_grid``, scored by ``oracle_risks`` at ``default_oracle_grid``
-    up to ``cutoff_cap`` or the root's end, then at each of ``extra`` held to
-    the root's end.  The record holds the first argmin's grid cutoff, its
-    ``risk``, the count of distinct grid cutoffs (``candidates``) and
+@functools.lru_cache(maxsize=1)
+def _law_table(pdf, xgrid: XGrid, grid: UGrid):
+    """The last ``oracle_table`` built, shared by the replications of a cell:
+    a bound ``pdf`` hashes and compares by the identity of its law."""
+    return oracle_table(pdf, xgrid, grid)
+
+
+def oracle_cutoff(ecf: SpreadEcf, law: TestLaw, xgrid: XGrid, extra=()):
+    """(record, root, risks) of the oracle against ``law``'s density on
+    ``xgrid``: the ``feasible_root`` on the ``scan_grid``, scored by ``oracle_risks``
+    at ``default_oracle_grid`` up to ``cutoff_cap`` or the root's end, then at each
+    of ``extra`` held to the root's end.  The record holds the first argmin's grid
+    cutoff, its ``risk``, the count of distinct grid cutoffs (``candidates``) and
     ``truncated_at`` if |phi_hat| hit the integration floor."""
-    root, violation = feasible_root(ecf.read(scan_grid(ecf.n, ecf.group_size)))
+    grid = scan_grid(ecf.n, ecf.group_size)
+    root, violation = feasible_root(ecf.read(grid))
     u_hi = root.u_limit
     candidates = default_oracle_grid(min(cutoff_cap(ecf.n, ecf.group_size), u_hi))
+    table = _law_table(law.pdf, xgrid, grid)
     cutoffs, risks = oracle_risks(root, table, np.append(candidates, np.minimum(extra, u_hi)))
     best = int(np.argmin(risks))  # the grid candidates ascend: smallest m on ties
     # a set, not np.unique, which imports numpy.ma (1.7 MB) into every simulate
@@ -170,19 +180,17 @@ def estimate(
     distinguished-log K-th root on [0, m], inverted at the cutoff m.
 
     ``cutoff`` is "adaptive" (the threshold rule at ``eta``), a fixed m > 0,
-    or "oracle": the ``oracle_cutoff`` record against ``law``'s density on
-    a table over the ``scan_grid``, as the simulation builds it.  The oracle
-    inverts the scan-grid root it scored, so the recorded risk is that of
-    the values returned; the other rules invert a root on ``root_grid(m)``.
-    The adaptive and oracle rules spread the sample up to the cap plus
-    MAX_STEP, a fixed m as far as ``root_grid(m)``.
+    or "oracle": the ``oracle_cutoff`` record against ``law``'s density, as the
+    simulation takes it.  The oracle inverts the scan-grid root it scored, so
+    the recorded risk is that of the values returned; the other rules invert a
+    root on ``root_grid(m)``.  The adaptive and oracle rules spread the sample
+    up to the cap plus MAX_STEP, a fixed m as far as ``root_grid(m)``.
     """
     check_eta(eta)
     if cutoff == "oracle":
         if law is None:
             raise ParameterError("cutoff='oracle' needs the true law (law=)")
-        table = oracle_table(law.pdf, xgrid, scan_grid(sample.n, sample.group_size))
-        record, root, _risks = oracle_cutoff(cap_spread(sample), table)
+        record, root, _risks = oracle_cutoff(cap_spread(sample), law, xgrid)
         m = record.value
     else:
         if cutoff == "adaptive":
@@ -215,19 +223,20 @@ def diagnostic_level(
     """(gamma, level) of the diagnostic: level = (1+eps)*gamma*sqrt(log n/n).
 
     ``gamma`` defaults to sqrt(1 + 2/K + delta).  A level <= 0 is rejected:
-    |phi_X|^K reaches it only where it underflows.
+    |phi_X|^K reaches it only where it underflows; so is one that overflows.
     """
     if n < 2:
         raise ParameterError(f"need n >= 2 (got {n})")
     if gamma is None:
         gamma = math.sqrt(max(1.0 + 2.0 / group_size + delta, 0.0))
-    if not (gamma > 0 and eps > -1):
+    level = (1.0 + eps) * gamma * math.sqrt(math.log(n) / n)
+    if not (gamma > 0 and eps > -1 and math.isfinite(level)):
         raise ParameterError(
-            "the diagnostic level (1+eps)*gamma*sqrt(log n/n) must be > 0, "
-            f"so eps > -1 and gamma > 0 (got eps={eps:g}, delta={delta:g}, "
-            f"gamma={gamma:g})"
+            "the diagnostic level (1+eps)*gamma*sqrt(log n/n) must be > 0 and "
+            f"finite, so eps > -1 and gamma > 0 (got eps={eps:g}, delta={delta:g}, "
+            f"gamma={gamma:g}, level={level:g})"
         )
-    return gamma, (1.0 + eps) * gamma * math.sqrt(math.log(n) / n)
+    return gamma, level
 
 
 def diagnostic_threshold_u(law: TestLaw, group_size: float, level: float) -> float:

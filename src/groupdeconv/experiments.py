@@ -16,16 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandwidth import (
-    DEFAULT_ETA,
-    adaptive_cutoff,
-    cap_spread,
-    check_eta,
-    oracle_cutoff,
-    scan_grid,
-)
+from .bandwidth import DEFAULT_ETA, adaptive_cutoff, cap_spread, check_eta, oracle_cutoff
 from .errors import GroupDeconvError, ParameterError
-from .inversion import OracleTable, XGrid, centred_xgrid, oracle_table
+from .inversion import XGrid, centred_xgrid
 from .rootlog import MAX_STEP
 from .samples import TestLaw, benchmark_laws, generate_grouped
 
@@ -34,7 +27,6 @@ __all__ = [
     "ReplicationResult",
     "RiskReport",
     "law_xgrid",
-    "cell_table",
     "run_replication",
     "run_grid",
     "resolve_workers",
@@ -102,20 +94,8 @@ def law_xgrid(law: TestLaw) -> XGrid:
     return centred_xgrid(law.mean, math.sqrt(law.variance))
 
 
-def cell_table(law: TestLaw, n: int, group_size: int) -> OracleTable:
-    """The oracle's x-side for one cell: ``law``'s density on ``law_xgrid(law)``
-    up to the top of the cell's scan grid, which every replication's root
-    is read on."""
-    return oracle_table(law.pdf, law_xgrid(law), scan_grid(n, group_size))
-
-
 def run_replication(
-    law: TestLaw,
-    n: int,
-    group_size: int,
-    eta: float = DEFAULT_ETA,
-    seed=0,
-    table: OracleTable | None = None,
+    law: TestLaw, n: int, group_size: int, eta: float = DEFAULT_ETA, seed=0
 ) -> ReplicationResult:
     """One sample, both estimators, both risks (same sample, same x-grid
     ``law_xgrid(law)``).
@@ -123,7 +103,6 @@ def run_replication(
     One spread of the sample serves the threshold scan and ``oracle_cutoff``,
     whose record gives the oracle's cutoff and risk; m_hat is scored after
     the oracle's candidates, so the adaptive risk is the last of its risks.
-    ``table`` is the cell's ``cell_table``, built here when not given.
     """
     sample = generate_grouped(law, n, group_size, seed)
     ecf = cap_spread(sample)
@@ -135,7 +114,7 @@ def run_replication(
             f"the sample is too degenerate to invert"
         )
 
-    oracle, _root, risks = oracle_cutoff(ecf, table or cell_table(law, n, group_size), (m_hat,))
+    oracle, _root, risks = oracle_cutoff(ecf, law, law_xgrid(law), (m_hat,))
     return ReplicationResult(
         risk_adaptive=float(risks[-1]),
         risk_oracle=oracle.params["risk"],
@@ -164,16 +143,14 @@ def resolve_workers() -> int:
 
 
 def _run_cell_block(task):
-    """Worker entry: one block of replications of one cell of the grid,
-    all scored against one ``cell_table``."""
+    """Worker entry: one block of replications of one cell of the grid."""
     grid, cell_idx, reps = task
     law, n, k = grid.cells[cell_idx]
-    table = cell_table(law, n, k)
     out = []
     for rep in reps:
         try:
             seed = (grid.master_seed, cell_idx, rep)
-            out.append(run_replication(law, n, k, grid.eta, seed, table))
+            out.append(run_replication(law, n, k, grid.eta, seed))
         except GroupDeconvError as exc:
             out.append(f"{type(exc).__name__}: {exc} [law={law.label} n={n} K={k} rep={rep}]")
     return out

@@ -113,9 +113,12 @@ def centred_xgrid(center: float, sigma: float, count: int = X_COUNT) -> XGrid:
 def default_xgrid(sample: GroupedSample, count: int = X_COUNT) -> XGrid:
     """Data-driven grid: E[X] = E[Y]/K and Var(X) = Var(Y)/K from the sample."""
     if sample.variance == 0:
+        lo, hi = sample.observations.min(), sample.observations.max()
+        why = (f"is 0 (all {sample.n} observations equal {lo:g})" if lo == hi
+               else f"underflows to 0 (the {sample.n} observations span [{lo:g}, {hi:g}])")
         raise ParameterError(
-            f"sd(Y) is 0 (all {sample.n} observations equal {sample.mean:g}), so the "
-            "default x-grid has no width; give the x-grid (estimate --x-min, --x-max)"
+            f"sd(Y) {why}, so the default x-grid has no width; give the x-grid "
+            "(estimate --x-min, --x-max)"
         )
     sigma = math.sqrt(sample.variance / sample.group_size)
     return centred_xgrid(sample.mean / sample.group_size, sigma, count)

@@ -295,6 +295,8 @@ def _bad_sample(kind):
         "two-1e308": np.append(sums, [1e308, 1e308]),
         "constant": np.full(500, 2.0),
         "near-constant": np.append(np.full(499, 2.0), 2.0000000000000004),
+        # distinct, but their variance underflows to 0
+        "tiny": sums * 1e-300,
     }[kind]
 
 
@@ -314,6 +316,12 @@ def _bad_sample(kind):
             "(got 0.39999999999999997, 0.4000000000000001)",
         ),
         ("near-constant", "explicit", None),
+        (
+            "tiny",
+            "default",
+            "sd(Y) underflows to 0 (the 1000 observations span [2.89173e-300, 1.74404e-299])",
+        ),
+        ("tiny", "explicit", None),
     ],
     ids=[
         "one-1.7e308-default",
@@ -324,6 +332,8 @@ def _bad_sample(kind):
         "constant-explicit",
         "near-constant-default",
         "near-constant-explicit",
+        "tiny-default",
+        "tiny-explicit",
     ],
 )
 def test_estimate_names_overflowing_or_spreadless_sample(tmp_path, capsys, kind, grid, named):
@@ -639,6 +649,7 @@ def test_diagnose_validates_group_size(tmp_path, capsys):
         (["diagnose", "--gamma", "nan"], ["--gamma", "'nan'"]),
         (["diagnose", "--eta", "nan"], ["--eta", "'nan'"]),
         (["diagnose", "--eps", -1], ["eps=-1", "must be > 0"]),
+        (["diagnose", "--gamma", 1e308, "--eps", 1], ["eps=1", "gamma=1e+308", "level=inf", "finite"]),
         (["estimate", "--cutoff", "bogus"], ["adaptive, oracle, or fixed:<m>", "'bogus'"]),
         (["estimate", "--x-min", 0], ["--x-min and --x-max must be given together"]),
     ],
@@ -653,6 +664,7 @@ def test_diagnose_validates_group_size(tmp_path, capsys):
         "diagnose-gamma-nan",
         "diagnose-eta-nan",
         "diagnose-eps-minus-1",
+        "diagnose-level-overflows",
         "estimate-cutoff-bogus",
         "estimate-x-min-alone",
     ],
@@ -809,11 +821,45 @@ def test_diagnose_and_simulate_exit_0_2_3_or_4_without_a_traceback(tmp_path_fact
         argv = ["simulate", *argv, "--reps", str(reps), "--seed", str(seed)]
     else:
         argv = ["diagnose", *argv]
+        # a typical value, any finite one, or one whose product with
+        # another overflows
+        huge = st.sampled_from([1e154, 1e308, -1e308])
+        for flag in ("--gamma", "--eps", "--delta"):
+            value = data.draw(st.none() | _wide(-1.7e308, 1.7e308, (-2.0, 3.0)) | huge, label=flag)
+            if value is not None:
+                argv += [flag, repr(value)]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = exit_code(argv)
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    if code == 0 and argv[0] == "diagnose":  # strict JSON: no NaN or Infinity
+        json.loads(out.with_suffix(".json").read_text(), parse_constant=_refuse)
+
+
+def _refuse(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_a_failing_given_test_ends_its_session_normally(tmp_path):
+    # under the repo's pytest config a @given test that raises must fail as
+    # itself, and the tests after it still run
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n@given(st.integers())\n"
+        "def test_fails(x):\n    raise ValueError(x)\n\n\n"
+        "def test_passes():\n    pass\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-q", "-p", "no:cacheprovider",
+         str(tmp_path / "test_two.py")],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

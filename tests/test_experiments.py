@@ -7,10 +7,9 @@ import pytest
 
 import groupdeconv
 
-from groupdeconv import experiments
+from groupdeconv import bandwidth, experiments, inversion
 from groupdeconv.experiments import (
     ScenarioGrid,
-    cell_table,
     law_xgrid,
     resolve_workers,
     run_grid,
@@ -48,27 +47,38 @@ def test_replication_deterministic_given_seed():
 
 
 @pytest.mark.parametrize("k", [5, 50])
-def test_replication_scores_alike_with_and_without_the_cell_table(k):
-    for law in benchmark_laws().values():
-        table = cell_table(law, 1000, k)
-        for seed in range(3):
-            given = run_replication(law, 1000, k, seed=(9, seed), table=table)
-            alone = run_replication(law, 1000, k, seed=(9, seed))
-            assert given.threshold_hit == alone.threshold_hit
-            for name in ("risk_adaptive", "risk_oracle", "m_adaptive", "m_oracle"):
-                assert getattr(given, name) == pytest.approx(getattr(alone, name), rel=1e-13)
+def test_the_oracle_table_memo_scores_like_a_cold_build(k):
+    # two laws of one x-grid (mean 2, variance 1) whose cells share (n, K),
+    # so also the scan grid: only their densities tell their tables apart
+    laws, seeds = (Normal(2.0, 1.0), Gamma(4.0, 2.0)), range(3)
+    assert law_xgrid(laws[0]) == law_xgrid(laws[1])
+    cold = {}
+    for law in laws:
+        for seed in seeds:
+            bandwidth._law_table.cache_clear()
+            cold[law, seed] = run_replication(law, 1000, k, seed=(9, seed))
+    for law in laws:  # warm: each law's replications in a row
+        for seed in seeds:
+            assert run_replication(law, 1000, k, seed=(9, seed)) == cold[law, seed]
+    for seed in seeds:  # interleaved: each law follows the other's table
+        for law in laws:
+            assert run_replication(law, 1000, k, seed=(9, seed)) == cold[law, seed]
 
 
-def test_a_block_of_replications_builds_one_oracle_table(monkeypatch):
-    built = []
+def test_a_serial_grid_builds_one_oracle_table_per_cell(monkeypatch):
+    built, make = [], inversion.OracleTable
+
+    def counted(xgrid, grid, *rest):
+        built.append(grid)
+        return make(xgrid, grid, *rest)
+
     monkeypatch.delenv(experiments.THREADS_ENV, raising=False)
-    monkeypatch.setattr(
-        experiments, "cell_table", lambda *cell: built.append(cell) or cell_table(*cell)
-    )
+    monkeypatch.setattr(inversion, "OracleTable", counted)
+    bandwidth._law_table.cache_clear()
     grid = tiny_grid(replications=experiments.BLOCK_SIZE + 1)
     run_grid(grid)
-    # two blocks per cell, one table each; no replication builds its own
-    assert sorted(built) == sorted(2 * [(law, n, k) for law, n, k in grid.cells])
+    # two blocks per cell, whose replications all share the cell's table
+    assert built == [scan_grid(n, k) for _law, n, k in grid.cells]
 
 
 def test_replication_oracle_dominates_adaptive():
@@ -92,16 +102,17 @@ def test_replication_adaptive_risk_is_the_inversion_at_m_hat():
 
 def test_estimate_and_the_simulation_score_one_oracle():
     # estimate's oracle and run_replication both take oracle_cutoff's record
-    # on the cell's table; the simulation adds m_hat as its last candidate
+    # against the law on its x-grid; the simulation adds m_hat as its last
+    # candidate
     n, k, seed = 2000, 5, (21, 4)
     for law in benchmark_laws().values():
         sample = generate_grouped(law, n, k, seed)
         est = estimate(sample, law_xgrid(law), "oracle", law=law)
-        ecf, table = cap_spread(sample), cell_table(law, n, k)
-        record, _root, _risks = oracle_cutoff(ecf, table)
+        ecf, xgrid = cap_spread(sample), law_xgrid(law)
+        record, _root, _risks = oracle_cutoff(ecf, law, xgrid)
         assert est.cutoff_rule == record.as_dict()
         assert est.cutoff_m == record.value
-        record, _root, risks = oracle_cutoff(ecf, table, extra=(adaptive_cutoff(ecf).value,))
+        record, _root, risks = oracle_cutoff(ecf, law, xgrid, extra=(adaptive_cutoff(ecf).value,))
         r = run_replication(law, n, k, seed=seed)
         assert (r.m_oracle, r.risk_oracle) == (record.value, record.params["risk"])
         assert r.risk_adaptive == risks[-1]
@@ -389,6 +400,8 @@ def test_only_bandwidth_reads_the_oracle_root():
     assert callers("default_oracle_grid") == callers("feasible_root") == {"bandwidth"}
     assert callers("oracle_cutoff") == {"bandwidth", "experiments"}
     assert callers("oracle_risks") == {"bandwidth"}
+    # and only bandwidth knows which density and grids the oracle's table is on
+    assert callers("oracle_table") == {"bandwidth"}
 
 
 def _runs_on_import(node):
