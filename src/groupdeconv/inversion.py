@@ -80,6 +80,8 @@ class XGrid:
                 "x-grid ends and their distance must be finite "
                 f"(got {self.x_min}, {self.x_max})"
             )
+        if not isinstance(self.count, (int, np.integer)):
+            raise ParameterError(f"x-grid point count must be an integer (got {self.count})")
         if self.count < 16:
             raise ParameterError(f"x-grid needs at least 16 points (got {self.count})")
         if self.count > ROOT_MODES:

@@ -119,24 +119,16 @@ class RootEstimate:
         return self.grid.n_half * self.grid.step
 
 
-def _require_in_range(cf: CfEvaluation, u_limit: float) -> int:
-    if u_limit < 0:
-        raise ParameterError(f"u_limit must be >= 0 (got {u_limit})")
-    if u_limit > cf.grid.u_max + cf.grid.step * GRID_SLACK:
-        raise ParameterError(
-            f"u_limit {u_limit} exceeds the evaluated range {cf.grid.u_max}"
-        )
-    return cf.grid.index_of(u_limit)
-
-
-def _first_floor_violation(cf: CfEvaluation, k_limit: int):
+def _floor_scan(cf: CfEvaluation, k_limit: int):
+    """(k, DenominatorTooSmall naming it) for the first grid index k <= k_limit
+    where |phi_hat| is below the denominator floor, or None."""
     floor = denominator_floor(cf.n)
     mod = np.abs(cf.phi_centered[: k_limit + 1])
     bad = np.flatnonzero(mod < floor)
-    if bad.size:
-        k = int(bad[0])
-        return k, float(cf.grid.points[k]), float(mod[k]), floor
-    return None
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    return k, DenominatorTooSmall(float(cf.grid.points[k]), float(mod[k]), floor)
 
 
 def _centered_psi(cf: CfEvaluation, k_limit: int) -> np.ndarray:
@@ -147,9 +139,7 @@ def _centered_psi(cf: CfEvaluation, k_limit: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(cf.grid.step * (g[1:] + g[:-1]) / 2.0)))
 
 
-def _assemble_root(cf: CfEvaluation, k_limit: int) -> RootEstimate:
-    if k_limit < 1:
-        raise ParameterError("a root estimate needs at least one grid step")
+def _assemble_root(cf: CfEvaluation, k_limit: int, truncated_at=None) -> RootEstimate:
     step = cf.grid.step
     u = cf.grid.points[: k_limit + 1]
     modulus = np.abs(cf.phi_centered[: k_limit + 1])
@@ -167,6 +157,8 @@ def _assemble_root(cf: CfEvaluation, k_limit: int) -> RootEstimate:
                 f"{step:g}; unwrap may be unreliable here",
             )
         )
+    if truncated_at is not None:
+        warnings.append((truncated_at, "integration truncated at the denominator floor"))
     return RootEstimate(
         UGrid(u_max=u[-1], step=step), modulus_pow, phase, cf.group_size, warnings
     )
@@ -179,11 +171,16 @@ def distinguished_root(cf: CfEvaluation, u_limit: float) -> RootEstimate:
     Raises DenominatorTooSmall if |phi_hat| dips below the floor inside the
     requested range.
     """
-    k_limit = _require_in_range(cf, u_limit)
-    hit = _first_floor_violation(cf, k_limit)
+    if not 0 <= u_limit <= cf.grid.u_max + cf.grid.step * GRID_SLACK:
+        raise ParameterError(
+            f"u_limit must lie in the evaluated range [0, {cf.grid.u_max}] (got {u_limit})"
+        )
+    k_limit = cf.grid.index_of(u_limit)
+    if k_limit < 1:
+        raise ParameterError("a root estimate needs at least one grid step")
+    hit = _floor_scan(cf, k_limit)
     if hit is not None:
-        _, u, value, floor = hit
-        raise DenominatorTooSmall(u, value, floor)
+        raise hit[1]
     return _assemble_root(cf, k_limit)
 
 
@@ -192,20 +189,13 @@ def feasible_root(cf: CfEvaluation):
 
     Returns (root, violation) where violation is None when the whole grid
     passed the denominator floor, else the u at which integration stopped.
-    The root then covers grid points strictly before the violation.
+    The root then covers grid points strictly before the violation.  Raises
+    DenominatorTooSmall when no grid step lies before it.
     """
-    k_limit = cf.grid.n_half
-    hit = _first_floor_violation(cf, k_limit)
-    violation = None
-    if hit is not None:
-        k_bad, u_bad, value, floor = hit
-        if k_bad == 0:
-            raise DenominatorTooSmall(u_bad, value, floor)
-        k_limit = k_bad - 1
-        violation = u_bad
-    root = _assemble_root(cf, k_limit)
-    if violation is not None:
-        root.warnings.append(
-            (violation, "integration truncated at the denominator floor")
-        )
-    return root, violation
+    hit = _floor_scan(cf, cf.grid.n_half)
+    if hit is None:
+        return _assemble_root(cf, cf.grid.n_half), None
+    k, error = hit
+    if k <= 1:  # no grid step before the floor
+        raise error
+    return _assemble_root(cf, k - 1, error.u), error.u

@@ -314,9 +314,9 @@ def generate_grouped(law: TestLaw, n: int, group_size: int, seed) -> GroupedSamp
     """
     from ._fourier import BLOCK  # the spread's block, one cache-sized unit for both
 
-    if n < 2:
-        raise ParameterError(f"need n >= 2 (got {n})")
-    if int(group_size) != group_size or group_size < 1:
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ParameterError(f"need an integer n >= 2 (got {n})")
+    if not (group_size >= 1 and float(group_size).is_integer()):
         raise ParameterError(
             f"group size must be a positive integer for sampling (got {group_size})"
         )

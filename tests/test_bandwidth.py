@@ -344,6 +344,8 @@ def test_diagnostic_level_closed_form():
     assert gamma == math.sqrt(1 + 2 / 5.0 + 0.3)
     assert level == pytest.approx(1.2 * gamma * math.sqrt(math.log(10**4) / 10**4))
     assert diagnostic_level(10**4, 5.0, gamma=2.0)[0] == 2.0
+    with pytest.raises(ParameterError, match=r"need n >= 2 \(got 1\)"):
+        diagnostic_level(1, 5.0)
 
 
 def test_diagnostic_level_not_reached():
@@ -373,7 +375,7 @@ def test_estimate_oracle_without_law_names_it():
         estimate(s, default_xgrid(s), "oracle")
 
 
-@pytest.mark.parametrize("cutoff", ["bogus", None])
+@pytest.mark.parametrize("cutoff", ["bogus", None, 0.0])
 def test_estimate_rejects_an_unknown_cutoff(cutoff):
     s = generate_grouped(Normal(), 500, 5, seed=2)
     with pytest.raises(ParameterError, match="cutoff must be"):

@@ -164,12 +164,36 @@ def test_estimate_x_count_alone_keeps_default_grid(tmp_path, normal_sum_file):
 
 
 def test_estimate_invalid_cutoff_flag(tmp_path, normal_sum_file, capsys):
-    code = run_cli(
-        ["estimate", "--input", normal_sum_file, "--group-size", 5,
-         "--cutoff", "fixed:zero", "--out", tmp_path / "e"]
-    )
-    assert code == 2
-    assert "fixed cutoff" in capsys.readouterr().err
+    # "zero" is refused as the flag is parsed, -1 by the estimator
+    for cutoff in ("fixed:zero", "fixed:-1"):
+        code = run_cli(
+            ["estimate", "--input", normal_sum_file, "--group-size", 5,
+             "--cutoff", cutoff, "--out", tmp_path / "e"]
+        )
+        assert code == 2
+        assert "fixed cutoff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "values,flags,named",
+    [
+        # |phi_hat(u)| = |cos(pi u / 0.02)| vanishes at the oracle's first scan step
+        ((5.0, 5.0 + math.pi / 0.01), ["--group-size", 2, "--cutoff", "oracle", "--law", "normal"],
+         "|phi_hat(0.01)|"),
+        # |phi_hat(u)| = |cos(u)| vanishes at pi/2, inside the root grid of m = 2
+        ((-1.0, 1.0), ["--group-size", 1, "--cutoff", "fixed:2"], "|phi_hat(1.5708)|"),
+    ],
+    ids=["oracle-first-step", "fixed"],
+)
+def test_estimate_exits_3_naming_the_floor_frequency(tmp_path, capsys, values, flags, named):
+    path = tmp_path / "y.txt"
+    path.write_text("".join(f"{v!r}\n" for v in values * 1000))
+    code = exit_code(["estimate", "--input", path, *flags, "--out", tmp_path / "e"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert named in err and "integration floor" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "e.json").exists()
 
 
 @pytest.mark.parametrize("m", ["1e-200", "1e-300"])

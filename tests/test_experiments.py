@@ -1,6 +1,7 @@
 import ast
 import concurrent.futures
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,9 @@ def test_text_table_alignment():
     assert "r_or*" in text
     assert "eta=1.1" in text
     assert "master_seed=7" in text
+    # a cell where some replications failed carries their count
+    report.rows[0] = replace(report.rows[0], mean_risk=0.25, failures=2)
+    assert f"{'0.250(2!)':>18}" in report.to_text()
 
 
 def test_resolve_workers_env(monkeypatch):

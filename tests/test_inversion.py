@@ -53,6 +53,10 @@ def test_xgrid_validation():
     for count in (ROOT_MODES + 1, 10**30):
         with pytest.raises(ParameterError, match=f"at most {ROOT_MODES} points.*got {count}"):
             XGrid(0.0, 1.0, count)
+    for count in (16.5, 20.0):
+        with pytest.raises(ParameterError, match=rf"count must be an integer \(got {count}\)"):
+            XGrid(0.0, 1.0, count)
+    assert XGrid(0.0, 1.0, np.int64(20)).points.shape == (20,)
 
 
 def test_default_xgrid_covers_summand():

@@ -72,8 +72,13 @@ def test_exp_reconstruction_and_quadrature_order():
 
 def test_log_respects_range_precondition():
     cf = analytic_eval(Normal(2.0, 1.0), 1.0, 0.01)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="evaluated range"):
         distinguished_root(cf, 2.0)
+    for u_limit in (-0.01, np.nan):
+        with pytest.raises(ParameterError, match="evaluated range"):
+            distinguished_root(cf, u_limit)
+    with pytest.raises(ParameterError, match="at least one grid step"):
+        distinguished_root(cf, 0.005)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +184,16 @@ def test_feasible_root_truncates_instead_of_raising():
     assert abs(violation - np.pi / 2) < 1e-2
     assert root.u_limit < violation
     assert any("truncated" in msg for _, msg in root.warnings)
+
+
+def test_feasible_root_raises_when_the_floor_leaves_no_step():
+    # |phi_hat(u)| = |cos(pi u / 0.02)| vanishes at the first step, 0.01
+    s = GroupedSample(np.array([5.0, 5.0 + np.pi / 0.01]), 1.0)
+    cf = evaluate_grid(s, UGrid(1.0, 0.01))
+    with pytest.raises(DenominatorTooSmall, match=r"\|phi_hat\(0\.01\)\|") as exc:
+        feasible_root(cf)
+    assert exc.value.u == cf.grid.step
+    assert exc.value.value < exc.value.floor == denominator_floor(2)
 
 
 def test_feasible_root_full_range_when_clean():

@@ -38,6 +38,8 @@ ALL_LAWS = list(benchmark_laws().values())
 def test_sample_requires_two_observations():
     with pytest.raises(ParameterError):
         GroupedSample(np.array([1.0]), 2.0)
+    with pytest.raises(ParameterError, match="one-dimensional"):
+        GroupedSample(np.ones((2, 2)), 2.0)
 
 
 def test_sample_rejects_nan():
@@ -138,6 +140,12 @@ def test_generate_rejects_bad_parameters():
         generate_grouped(Normal(), 10, 0, seed=0)
     with pytest.raises(ParameterError):
         generate_grouped(Normal(), 10, 2.5, seed=0)
+    with pytest.raises(ParameterError, match=r"integer n >= 2 \(got 2.5\)"):
+        generate_grouped(Normal(), 2.5, 5, seed=0)
+    for k in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match=f"group size .* \\(got {k}\\)"):
+            generate_grouped(Normal(), 10, k, seed=0)
+    assert generate_grouped(Normal(), np.int64(10), np.int64(5), seed=0).n == 10
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +299,9 @@ def test_load_detects_header(tmp_path):
     ]:
         p.write_bytes(data)
         np.testing.assert_array_equal(load_sample(p, 5.0).observations, expected)
+    # a header line longer than the block reader reads at once
+    y = _gumbel_repr_column(p, b"y" * (samples._TEXT_BLOCK + 1) + b"\n")
+    np.testing.assert_array_equal(load_sample(p, 5.0).observations, y)
 
 
 def test_load_empty_file_errors(tmp_path):
