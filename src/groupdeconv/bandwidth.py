@@ -24,7 +24,7 @@ import numpy as np
 from .charfn import SpreadEcf, UGrid, bisect_crossing
 from .errors import LevelNotReached, ParameterError
 from .inversion import DensityEstimate, XGrid, invert, oracle_risks, oracle_table
-from .rootlog import MAX_STEP, distinguished_root, feasible_root, root_grid
+from .rootlog import MAX_STEP, distinguished_root, feasible_root, phase_gap, root_grid
 from .samples import GroupedSample, TestLaw
 
 __all__ = [
@@ -190,8 +190,10 @@ def estimate(
     if cutoff == "oracle":
         if law is None:
             raise ParameterError("cutoff='oracle' needs the true law (law=)")
-        record, root, _risks = oracle_cutoff(cap_spread(sample), law, xgrid)
+        ecf = cap_spread(sample)
+        record, root, _risks = oracle_cutoff(ecf, law, xgrid)
         m = record.value
+        grid = scan_grid(sample.n, sample.group_size)
     else:
         if cutoff == "adaptive":
             ecf = cap_spread(sample)
@@ -208,9 +210,11 @@ def estimate(
             if not (math.isfinite(m) and m > 0):
                 raise ParameterError(f"fixed cutoff must be > 0 (got {m})")
             ecf = SpreadEcf(sample, root_grid(m).u_max)
-        root = distinguished_root(ecf.read(root_grid(m)), m)
+        grid = root_grid(m)
+        root = distinguished_root(ecf.read(grid), m)
     rule = record.as_dict() if record is not None else {"rule": "fixed"}
-    return replace(invert(root, m, xgrid), cutoff_rule=rule, provenance={"n": sample.n})
+    gap = phase_gap(ecf.read(grid), m)
+    return replace(invert(root, m, xgrid), cutoff_rule=rule, provenance={"n": sample.n}, phase_gap=gap)
 
 
 def diagnostic_level(
@@ -227,6 +231,8 @@ def diagnostic_level(
     """
     if n < 2:
         raise ParameterError(f"need n >= 2 (got {n})")
+    if not (group_size >= 1):
+        raise ParameterError(f"group size must be >= 1 (got {group_size:g})")
     if gamma is None:
         gamma = math.sqrt(max(1.0 + 2.0 / group_size + delta, 0.0))
     level = (1.0 + eps) * gamma * math.sqrt(math.log(n) / n)

@@ -79,7 +79,7 @@ class CfEvaluation:
     observations Y - center: phi_hat(u) = e^{iu*center} phi_centered(u).
     ``n`` is None for evaluations built from an analytic characteristic
     function rather than data.  ``group_size`` is the K whose root the
-    pipeline takes; any real value >= 1 is accepted.
+    pipeline takes; any finite real value >= 1 is accepted.
     """
 
     grid: UGrid
@@ -90,7 +90,7 @@ class CfEvaluation:
     group_size: float
 
     def __post_init__(self):
-        if not (self.group_size >= 1):
+        if not (np.isfinite(self.group_size) and self.group_size >= 1):
             raise ParameterError(f"group size must be >= 1 (got {self.group_size})")
 
     @property

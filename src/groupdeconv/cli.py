@@ -208,8 +208,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    if args.group_size < 1:
-        raise ParameterError(f"group size must be >= 1 (got {args.group_size:g})")
     law = law_from_name(args.law)
     n, k = args.n, args.group_size
     gamma, level = diagnostic_level(n, k, args.gamma, args.eps, args.delta)

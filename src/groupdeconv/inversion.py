@@ -132,7 +132,8 @@ class DensityEstimate:
 
     ``values`` is the raw inversion output: it may go negative.  An optional
     clipped-and-renormalized copy is available via ``nonnegative()``; the raw
-    estimator is what all risks are computed from.
+    estimator is what all risks are computed from.  ``estimate`` sets
+    ``phase_gap``, the ``rootlog.phase_gap`` of its root's read to the cutoff.
     """
 
     xgrid: XGrid
@@ -141,6 +142,7 @@ class DensityEstimate:
     cutoff_rule: dict
     group_size: float
     provenance: dict
+    phase_gap: float | None = None
 
     def nonnegative(self) -> np.ndarray:
         """Clip at zero and renormalize to unit mass (post-processing only)."""
@@ -166,6 +168,7 @@ class DensityEstimate:
             "cutoff": self.cutoff_rule | {"value": self.cutoff_m},
             "group_size": self.group_size,
             "provenance": self.provenance,
+            "phase_gap": self.phase_gap,
         }
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 

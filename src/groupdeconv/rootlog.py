@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +37,8 @@ __all__ = [
     "denominator_floor",
     "distinguished_root",
     "feasible_root",
+    "phase_gap",
 ]
-
-PHASE_STEP_BOUND = math.pi / 4.0
 
 # The largest frequency step anywhere: the adaptive threshold scan, the
 # oracle's root (read on the scan grid from the same spread) and the
@@ -100,15 +99,12 @@ class RootEstimate:
     Stored in polar form: ``modulus_pow[k]`` is |phi_hat(u_k)|^{1/group_size}
     and ``phase[k]`` is the continuous phase Im psi_hat(u_k)/group_size with
     phase[0] = 0.  The negative half of the grid is the conjugate mirror.
-    ``warnings`` collects (u, condition) records such as suspiciously large
-    per-step phase increments.
     """
 
     grid: UGrid
     modulus_pow: np.ndarray
     phase: np.ndarray
     group_size: float
-    warnings: list = field(default_factory=list)
 
     def values(self) -> np.ndarray:
         """phi_hat_X(u) on the nonnegative grid points."""
@@ -139,29 +135,25 @@ def _centered_psi(cf: CfEvaluation, k_limit: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(cf.grid.step * (g[1:] + g[:-1]) / 2.0)))
 
 
-def _assemble_root(cf: CfEvaluation, k_limit: int, truncated_at=None) -> RootEstimate:
-    step = cf.grid.step
+def _assemble_root(cf: CfEvaluation, k_limit: int) -> RootEstimate:
     u = cf.grid.points[: k_limit + 1]
     modulus = np.abs(cf.phi_centered[: k_limit + 1])
     modulus_pow = modulus ** (1.0 / cf.group_size)
     psi_c = _centered_psi(cf, k_limit)
     phase = (cf.center * u + psi_c.imag) / cf.group_size
-
-    warnings = []
-    increments = np.abs(np.diff(phase))
-    for k in np.flatnonzero(increments >= PHASE_STEP_BOUND):
-        warnings.append(
-            (
-                float(u[k + 1]),
-                f"phase increment {increments[k]:.3f} rad over one step of "
-                f"{step:g}; unwrap may be unreliable here",
-            )
-        )
-    if truncated_at is not None:
-        warnings.append((truncated_at, "integration truncated at the denominator floor"))
     return RootEstimate(
-        UGrid(u_max=u[-1], step=step), modulus_pow, phase, cf.group_size, warnings
+        UGrid(u_max=u[-1], step=cf.grid.step), modulus_pow, phase, cf.group_size
     )
+
+
+def phase_gap(cf: CfEvaluation, u_limit: float) -> float:
+    """The largest turn, in radians, over one grid step in [0, u_limit] between the
+    integrated phase and the sampled argument of phi_hat: near 0 where phi_hat is
+    smooth on the grid, near pi where it crosses zero between two grid points."""
+    k_limit = cf.grid.index_of(u_limit)
+    phi_c = cf.phi_centered[: k_limit + 1]
+    turn = np.exp(1j * np.diff(_centered_psi(cf, k_limit).imag)) * phi_c[:-1] * phi_c[1:].conj()
+    return float(np.abs(np.angle(turn)).max(initial=0.0))
 
 
 def distinguished_root(cf: CfEvaluation, u_limit: float) -> RootEstimate:
@@ -198,4 +190,4 @@ def feasible_root(cf: CfEvaluation):
     k, error = hit
     if k <= 1:  # no grid step before the floor
         raise error
-    return _assemble_root(cf, k - 1, error.u), error.u
+    return _assemble_root(cf, k - 1), error.u

@@ -89,7 +89,6 @@ def root_from_values(grid, values, group_size=1.0):
         modulus_pow=np.abs(vals),
         phase=phase,
         group_size=float(group_size),
-        warnings=[],
     )
 
 

@@ -28,6 +28,7 @@ from groupdeconv.samples import (
     GroupedSample,
     Laplace,
     Normal,
+    benchmark_laws,
     generate_grouped,
     make_rng,
 )
@@ -346,6 +347,8 @@ def test_diagnostic_level_closed_form():
     assert diagnostic_level(10**4, 5.0, gamma=2.0)[0] == 2.0
     with pytest.raises(ParameterError, match=r"need n >= 2 \(got 1\)"):
         diagnostic_level(1, 5.0)
+    with pytest.raises(ParameterError, match=r"group size must be >= 1 \(got 0\)"):
+        diagnostic_level(1000, 0)
 
 
 def test_diagnostic_level_not_reached():
@@ -390,3 +393,15 @@ def test_estimate_oracle_counts_distinct_grid_cutoffs():
     rule = est.cutoff_rule
     assert (rule["value"], rule["candidates"], rule["truncated_at"]) == (0.99, 54, 1.0)
     assert est.cutoff_m == 0.99
+
+
+def test_the_adaptive_root_follows_the_sampled_phase():
+    # the adaptive cutoff stops where |phi_hat| reaches the noise level, so
+    # its root grid sees phi_hat turn smoothly: the largest of these 24
+    # gaps is 1.4e-8, against about pi across a zero between two points
+    for law in benchmark_laws().values():
+        for n in (1000, 10000):
+            for k in (2, 5, 50):
+                s = generate_grouped(law, n, k, seed=(n, k))
+                gap = estimate(s, default_xgrid(s)).phase_gap
+                assert gap < 1e-5, (law.label, n, k, gap)

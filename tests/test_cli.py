@@ -61,6 +61,7 @@ def test_estimate_writes_csv_and_json(tmp_path, normal_sum_file):
     assert payload["cutoff"]["value"] > 0
     assert payload["provenance"]["n"] == 10**4
     assert payload["cutoff"]["defaults"]["scan_resolution"] == 0.01
+    assert payload["phase_gap"] < 1e-6
 
 
 def test_estimate_recovers_summand_density(tmp_path, normal_sum_file):
@@ -194,6 +195,18 @@ def test_estimate_exits_3_naming_the_floor_frequency(tmp_path, capsys, values, f
     assert named in err and "integration floor" in err
     assert "Traceback" not in err
     assert not (tmp_path / "e.json").exists()
+
+
+def test_estimate_reports_a_zero_between_grid_points_as_a_phase_gap(tmp_path):
+    # |phi_hat(u)| = |cos(pi u / 0.02)| vanishes at u = 0.01 and 0.03, between
+    # points of the root grid of m = 0.045, so no floor stops the estimate;
+    # the JSON's phase_gap shows the sampled argument's flip by pi
+    path = tmp_path / "y.txt"
+    path.write_text("".join(f"{v!r}\n" for v in (5.0, 5.0 + math.pi / 0.01) * 1000))
+    out = tmp_path / "e"
+    argv = ["estimate", "--input", path, "--group-size", 2, "--cutoff", "fixed:0.045"]
+    assert run_cli([*argv, "--out", out]) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["phase_gap"] > 3.1
 
 
 @pytest.mark.parametrize("m", ["1e-200", "1e-300"])

@@ -14,6 +14,7 @@ from groupdeconv.rootlog import (
     denominator_floor,
     distinguished_root,
     feasible_root,
+    phase_gap,
     root_grid,
 )
 from groupdeconv.samples import Gamma, GroupedSample, Laplace, Normal, generate_grouped
@@ -148,9 +149,11 @@ def test_root_multiplicativity_on_sampled_data():
 
 
 def test_group_size_below_one_rejected():
-    # the one K >= 1 check sits where an evaluation is built
-    with pytest.raises(ParameterError, match=r"group size must be >= 1 \(got 0.5\)"):
-        analytic_eval(Normal(2.0, 1.0), 1.0, 0.01, group_size=0.5)
+    # the one K >= 1 check sits where an evaluation is built; an infinite K
+    # would give a flat root (modulus 1, phase 0)
+    for k in (0.5, np.inf):
+        with pytest.raises(ParameterError, match=rf"group size must be >= 1 \(got {k}\)"):
+            analytic_eval(Normal(2.0, 1.0), 1.0, 0.01, group_size=k)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +186,6 @@ def test_feasible_root_truncates_instead_of_raising():
     assert violation is not None
     assert abs(violation - np.pi / 2) < 1e-2
     assert root.u_limit < violation
-    assert any("truncated" in msg for _, msg in root.warnings)
 
 
 def test_feasible_root_raises_when_the_floor_leaves_no_step():
@@ -203,12 +205,21 @@ def test_feasible_root_full_range_when_clean():
     assert root.u_limit == pytest.approx(2.0)
 
 
-def test_phase_increment_warning():
-    # fast-rotating phase: cf of a point mass far from 0 sampled coarsely
-    law = Normal(20.0, 1.0)
-    cf = analytic_eval(law, 2.0, 0.05)
-    root = distinguished_root(cf, 2.0)
-    assert root.warnings, "expected phase-step sanity records"
+def test_phase_gap_is_rounding_on_a_smooth_root_and_pi_across_a_missed_zero():
+    # Normal(20,1) turns its phase by 1 rad a step at step 0.05; the
+    # trapezoid is exact on its linear log-derivative, so the integrated
+    # phase and the sampled argument agree to rounding at any K
+    for k in (1, 3):
+        cf = analytic_eval(Normal(20.0, 1.0), 2.0, 0.05, group_size=k)
+        distinguished_root(cf, 2.0)
+        assert phase_gap(cf, 2.0) < 1e-12
+    # |phi_hat(u)| = |cos(pi u / 0.02)| vanishes at u = 0.01 and 0.03, between
+    # points of root_grid(0.045): the floor passes them, while the sampled
+    # argument flips by pi and the integrated phase does not
+    s = GroupedSample(np.array([5.0, 5.0 + np.pi / 0.01] * 1000), 2.0)
+    cf = evaluate_grid(s, root_grid(0.045))
+    distinguished_root(cf, 0.045)
+    assert phase_gap(cf, 0.045) > 3.1
 
 
 def test_root_grid_budget_holds_the_caps_the_rules_ask_for():

@@ -71,6 +71,11 @@ def test_k1_is_plain_sampling():
     assert s.n == 3
 
 
+def test_make_rng_passes_a_generator_through():
+    g = make_rng(7)
+    assert make_rng(g) is g
+
+
 def test_same_seed_bit_reproducible():
     law = Gumbel(3.0, 1.0)
     a = generate_grouped(law, 100, 5, seed=(42, 3))
@@ -274,6 +279,7 @@ def test_invalid_law_parameters():
 def test_law_labels():
     labels = [law.label for law in benchmark_laws().values()]
     assert labels == ["normal(2,1)", "gumbel(3,1)", "gamma(6,3)", "laplace(0.5,0.333333)"]
+    assert [str(law) for law in benchmark_laws().values()] == labels
 
 
 # ---------------------------------------------------------------------------
