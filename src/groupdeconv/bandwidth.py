@@ -25,7 +25,7 @@ from .charfn import SpreadEcf, UGrid, bisect_crossing
 from .errors import LevelNotReached, ParameterError
 from .inversion import DensityEstimate, XGrid, invert, oracle_risks, oracle_table
 from .rootlog import MAX_STEP, distinguished_root, feasible_root, phase_gap, root_grid
-from .samples import GroupedSample, TestLaw
+from .samples import GroupedSample, TestLaw, check_group_size
 
 __all__ = [
     "DEFAULT_ETA",
@@ -49,7 +49,7 @@ DEFAULT_ETA = 1.1
 # The cap at every K: near K = 1, n^{1/K} is about n.
 K1_CAP = 1000.0
 
-# The diagnostic bracketing scan gives up past this frequency.
+# The diagnostic crossing is sought in [0, DIAGNOSTIC_U_MAX] and no further.
 DIAGNOSTIC_U_MAX = 1e6
 
 
@@ -86,6 +86,7 @@ def threshold_value(n: int, group_size: float, eta: float) -> float:
     """The adaptive rule's |phi_hat| threshold t(n, K, eta)."""
     if n < 2:
         raise ParameterError(f"need n >= 2 (got {n})")
+    check_group_size(group_size)
     check_eta(eta)
     return (group_size * n) ** -0.5 + math.sqrt(
         eta * math.log(n) / group_size
@@ -94,6 +95,7 @@ def threshold_value(n: int, group_size: float, eta: float) -> float:
 
 def cutoff_cap(n: int, group_size: float) -> float:
     """n^{1/K}, at most K1_CAP."""
+    check_group_size(group_size)
     return min(float(n) ** (1.0 / group_size), K1_CAP)
 
 
@@ -231,8 +233,7 @@ def diagnostic_level(
     """
     if n < 2:
         raise ParameterError(f"need n >= 2 (got {n})")
-    if not (group_size >= 1):
-        raise ParameterError(f"group size must be >= 1 (got {group_size:g})")
+    check_group_size(group_size)
     if gamma is None:
         gamma = math.sqrt(max(1.0 + 2.0 / group_size + delta, 0.0))
     level = (1.0 + eps) * gamma * math.sqrt(math.log(n) / n)
@@ -250,9 +251,9 @@ def diagnostic_threshold_u(law: TestLaw, group_size: float, level: float) -> flo
     ``diagnostic_level`` gives.
 
     A level <= 0 is rejected: |phi_X|^K reaches it only where it
-    underflows.  Levels >= 1 are already met at u = 0.  The bracketing scan
-    assumes the benchmark laws' monotonically decaying |phi_X|;
-    LevelNotReached signals that the level is never met before
+    underflows.  Levels >= 1 are already met at u = 0.  One bisection on
+    [0, DIAGNOSTIC_U_MAX] assumes the benchmark laws' monotonically decaying
+    |phi_X|; LevelNotReached signals that the level is not met by
     DIAGNOSTIC_U_MAX.
     """
     if not (level > 0):
@@ -263,13 +264,9 @@ def diagnostic_threshold_u(law: TestLaw, group_size: float, level: float) -> flo
     def modulus_pow_k(u):
         return np.abs(law.cf(u)) ** group_size
 
-    lo, hi = 0.0, 0.01
-    while modulus_pow_k(hi) > level:
-        lo = hi
-        hi *= 1.3
-        if hi > DIAGNOSTIC_U_MAX:
-            raise LevelNotReached(
-                f"|phi(u)|^{group_size:g} stays above {level:.3e} "
-                f"up to u = {DIAGNOSTIC_U_MAX:g}"
-            )
-    return bisect_crossing(modulus_pow_k, level, lo, hi)
+    if modulus_pow_k(DIAGNOSTIC_U_MAX) > level:
+        raise LevelNotReached(
+            f"|phi(u)|^{group_size:g} stays above {level:.3e} "
+            f"up to u = {DIAGNOSTIC_U_MAX:g}"
+        )
+    return bisect_crossing(modulus_pow_k, level, 0.0, DIAGNOSTIC_U_MAX)

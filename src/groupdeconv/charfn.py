@@ -21,7 +21,7 @@ import numpy as np
 
 from ._fourier import HALF_WIDTH, GaussianSpread, grid_spacing
 from .errors import ParameterError
-from .samples import GroupedSample
+from .samples import GroupedSample, check_group_size
 
 __all__ = ["GRID_SLACK", "UGrid", "CfEvaluation", "SpreadEcf", "bisect_crossing"]
 
@@ -90,8 +90,7 @@ class CfEvaluation:
     group_size: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.group_size) and self.group_size >= 1):
-            raise ParameterError(f"group size must be >= 1 (got {self.group_size})")
+        check_group_size(self.group_size)
 
     @property
     def abs_phi(self) -> np.ndarray:

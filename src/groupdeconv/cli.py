@@ -30,7 +30,7 @@ from .bandwidth import (
 )
 from .errors import DataFormatError, GroupDeconvError, LevelNotReached, ParameterError
 from .experiments import ScenarioGrid, run_grid
-from .inversion import X_COUNT, XGrid, default_xgrid
+from .inversion import X_COUNT, X_HALF_WIDTH, XGrid, default_xgrid
 from .samples import law_from_name, load_sample
 
 
@@ -101,7 +101,7 @@ def cmd_estimate(args) -> int:
     defaults = {k: rule[k] for k in ("eta", "scan_resolution")} if cutoff == "adaptive" else {}
     if args.x_min is None:
         defaults["x_grid_policy"] = (
-            f"center mean(Y)/K, half-width 8*sd(X), {args.x_count} points"
+            f"center mean(Y)/K, half-width {X_HALF_WIDTH:g}*sd(X), {args.x_count} points"
         )
     est = replace(
         est,

@@ -38,6 +38,7 @@ from .samples import GroupedSample
 __all__ = [
     "XGrid",
     "X_COUNT",
+    "X_HALF_WIDTH",
     "DensityEstimate",
     "centred_xgrid",
     "default_xgrid",
@@ -50,6 +51,9 @@ __all__ = [
 
 # Points on the default x-grid.
 X_COUNT = 1024
+# The default x-grid's half-width, in sd(X): eight standard deviations cover
+# the summand's mass for any of the benchmark-style laws.
+X_HALF_WIDTH = 8.0
 
 # Rows per block of oracle_risks' lower-triangular Hankel sums: bounds its
 # working set to a square of this many rows.
@@ -104,12 +108,9 @@ class XGrid:
 
 
 def centred_xgrid(center: float, sigma: float, count: int = X_COUNT) -> XGrid:
-    """x-grid centred at the summand's mean with half-width 8 sd (``sigma``).
-
-    Eight standard deviations cover the summand's mass for any of the
-    benchmark-style laws.
-    """
-    return XGrid(center - 8.0 * sigma, center + 8.0 * sigma, count)
+    """x-grid centred at the summand's mean with half-width X_HALF_WIDTH sd
+    (``sigma``)."""
+    return XGrid(center - X_HALF_WIDTH * sigma, center + X_HALF_WIDTH * sigma, count)
 
 
 def default_xgrid(sample: GroupedSample, count: int = X_COUNT) -> XGrid:

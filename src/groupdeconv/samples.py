@@ -28,23 +28,36 @@ __all__ = [
     "Laplace",
     "benchmark_laws",
     "law_from_name",
+    "check_group_size",
     "make_rng",
     "generate_grouped",
     "load_sample",
 ]
 
 
+def check_group_size(k: float) -> None:
+    """The one rule on the group size K: a finite number >= 1."""
+    if not (math.isfinite(k) and k >= 1):
+        raise ParameterError(f"group size must be >= 1 (got {k})")
+
+
 def make_rng(seed):
     """Build a counter-based generator from ``seed``.
 
-    ``seed`` may be an int, a tuple of ints (hashed together, which is how
-    per-replication substreams are derived), a SeedSequence, or an existing
-    Generator (returned unchanged).
+    ``seed`` may be an int >= 0, a tuple of them (hashed together, which is
+    how per-replication substreams are derived), a SeedSequence, or an
+    existing Generator (returned unchanged).  Any other seed is a
+    ParameterError.
     """
     if isinstance(seed, np.random.Generator):
         return seed
     if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
+        try:
+            seed = np.random.SeedSequence(seed)
+        except (TypeError, ValueError):
+            raise ParameterError(
+                f"seed must be an integer >= 0 or a tuple of them (got {seed!r})"
+            ) from None
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -71,8 +84,7 @@ class GroupedSample:
         if not np.all(np.isfinite(obs)):
             bad = int(np.flatnonzero(~np.isfinite(obs))[0])
             raise ParameterError(f"observation {bad} is not finite")
-        if not (np.isfinite(self.group_size) and self.group_size >= 1):
-            raise ParameterError(f"group size must be >= 1 (got {self.group_size})")
+        check_group_size(self.group_size)
         # finite observations can still overflow the moments every estimate uses
         with np.errstate(over="ignore", invalid="ignore"):
             mean, sd = self.mean, math.sqrt(self.variance)
@@ -100,12 +112,10 @@ class TestLaw:
 
     Concrete laws are frozen dataclasses whose fields are the parameters:
     each must be finite, and each but ``mean`` (a scale, shape, rate or
-    variance) must be > 0.  They expose ``mean`` and ``variance`` (exact
-    moments), ``pdf``, ``cf`` and its derivative ``cf_prime``, and
-    ``sample(rng, size)``.
+    variance) must be > 0.  They set a class attribute ``name`` and
+    expose ``mean`` and ``variance`` (exact moments), ``pdf``, ``cf`` and its
+    derivative ``cf_prime``, and ``sample(rng, size)``.
     """
-
-    name: str = "law"
 
     def __post_init__(self):
         for f in fields(self):
@@ -113,18 +123,6 @@ class TestLaw:
             rule = "finite" if f.name == "mean" else "finite and > 0"
             if not (math.isfinite(value) and (f.name == "mean" or value > 0)):
                 raise ParameterError(f"{f.name} must be {rule} (got {value})")
-
-    def pdf(self, x):
-        raise NotImplementedError
-
-    def cf(self, u):
-        raise NotImplementedError
-
-    def cf_prime(self, u):
-        raise NotImplementedError
-
-    def sample(self, rng, size):
-        raise NotImplementedError
 
     def __str__(self):
         return self.label
@@ -344,8 +342,7 @@ def load_sample(path, group_size: float) -> GroupedSample:
     plain decimals, ``np.loadtxt`` for other numbers in a regular file, and
     Python's ``float`` line by line for the rest and for every error.
     """
-    if not (np.isfinite(group_size) and group_size >= 1):
-        raise ParameterError(f"group size must be >= 1 (got {group_size})")
+    check_group_size(group_size)
     try:
         # a pipe gives its bytes once: keep them for the line-by-line pass
         data = None if Path(path).is_file() else Path(path).read_bytes()

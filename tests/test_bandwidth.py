@@ -26,6 +26,7 @@ from groupdeconv.rootlog import default_step, feasible_root
 from groupdeconv.samples import (
     Gamma,
     GroupedSample,
+    Gumbel,
     Laplace,
     Normal,
     benchmark_laws,
@@ -323,6 +324,24 @@ def test_diagnostic_laplace_closed_form():
     u = diagnostic_threshold_u(law, k, level)
     expected = 3.0 * math.sqrt(level ** (-1.0 / k) - 1.0)
     assert abs(u - expected) < 1e-6
+
+
+@pytest.mark.parametrize("k", [1.0, 5.0, 50.0])
+def test_diagnostic_gamma_closed_form(k):
+    # |phi_X(u)|^K = (1 + u^2/9)^{-3K} = level  =>  u = 3 sqrt(level^{-1/(3K)} - 1)
+    _, level = diagnostic_level(10**4, k)
+    u = diagnostic_threshold_u(Gamma(6.0, 3.0), k, level)
+    expected = 3.0 * math.sqrt(level ** (-1.0 / (3.0 * k)) - 1.0)
+    assert abs(u - expected) < 1e-10 * expected
+
+
+@pytest.mark.parametrize("k", [1.0, 5.0, 50.0])
+def test_diagnostic_gumbel_meets_the_level(k):
+    # |Gamma(1 - iu)|^2 = pi u / sinh(pi u), so |phi_X(u)|^K = (pi u / sinh(pi u))^{K/2}
+    _, level = diagnostic_level(10**4, k)
+    u = diagnostic_threshold_u(Gumbel(3.0, 1.0), k, level)
+    reached = (math.pi * u / math.sinh(math.pi * u)) ** (k / 2.0)
+    assert abs(reached - level) < 1e-9 * level
 
 
 @pytest.mark.parametrize(

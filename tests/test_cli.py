@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from groupdeconv import cli, default_xgrid, estimate
 from groupdeconv.cli import main
 from groupdeconv.experiments import RiskReport, ScenarioGrid
-from groupdeconv.inversion import XGrid, l2_distance
+from groupdeconv.inversion import X_HALF_WIDTH, XGrid, l2_distance
 from groupdeconv.rootlog import ROOT_MODES
 from groupdeconv.samples import Normal, generate_grouped, load_sample
 
@@ -162,6 +162,18 @@ def test_estimate_x_count_alone_keeps_default_grid(tmp_path, normal_sum_file):
     )
     assert narrow["xgrid"] == wide["xgrid"] | {"count": 512}
     assert "512 points" in narrow["cutoff"]["defaults"]["x_grid_policy"]
+
+
+def test_default_xgrid_is_the_grid_its_policy_names(tmp_path, normal_sum_file):
+    assert run_cli(
+        ["estimate", "--input", normal_sum_file, "--group-size", 5, "--out", tmp_path / "e"]
+    ) == 0
+    payload = json.loads((tmp_path / "e.json").read_text())
+    grid = payload["xgrid"]
+    sd_x = math.sqrt(load_sample(normal_sum_file, 5).variance / 5)
+    assert (grid["x_max"] - grid["x_min"]) / 2 == pytest.approx(X_HALF_WIDTH * sd_x, rel=1e-12)
+    policy = payload["cutoff"]["defaults"]["x_grid_policy"]
+    assert f"half-width {X_HALF_WIDTH:g}*sd(X)" in policy
 
 
 def test_estimate_invalid_cutoff_flag(tmp_path, normal_sum_file, capsys):

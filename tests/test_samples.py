@@ -1,8 +1,10 @@
 import io
 import math
 import os
+import re
 import threading
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import groupdeconv
 from groupdeconv import samples
 from groupdeconv._fourier import BLOCK
+from groupdeconv.bandwidth import cutoff_cap, diagnostic_level, threshold_value
+from groupdeconv.charfn import CfEvaluation, UGrid
 from groupdeconv.errors import DataFormatError, ParameterError
 from groupdeconv.samples import (
     Gamma,
@@ -52,6 +57,33 @@ def test_sample_rejects_group_size_below_one():
         GroupedSample(np.array([1.0, 2.0]), 0.5)
 
 
+# every entry that takes a group size refuses a K that is not a finite number
+# >= 1 with samples.check_group_size's one message
+K_ENTRIES = {
+    "GroupedSample": lambda k: GroupedSample(np.array([1.0, 2.0]), k),
+    "CfEvaluation": lambda k: CfEvaluation.from_function(
+        Normal().cf, Normal().cf_prime, UGrid(1.0, 0.01), k
+    ),
+    "load_sample": lambda k: load_sample("never-read.csv", k),
+    "diagnostic_level": lambda k: diagnostic_level(1000, k),
+    "threshold_value": lambda k: threshold_value(1000, k, 1.1),
+    "cutoff_cap": lambda k: cutoff_cap(1000, k),
+}
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, math.inf, math.nan])
+@pytest.mark.parametrize("entry", list(K_ENTRIES))
+def test_every_entry_refuses_a_group_size_not_finite_and_at_least_one(entry, k):
+    with pytest.raises(ParameterError, match=rf"group size must be >= 1 \(got {k}\)"):
+        K_ENTRIES[entry](k)
+
+
+def test_one_rule_on_the_group_size():
+    package = Path(groupdeconv.__file__).parent
+    texts = [p.read_text() for p in package.glob("*.py")]
+    assert sum(t.count("group size must be >= 1") for t in texts) == 1
+
+
 def test_sample_accepts_non_integer_group_size():
     s = GroupedSample(np.array([1.0, 2.0, 3.0]), 2.5)
     assert s.group_size == 2.5
@@ -74,6 +106,22 @@ def test_k1_is_plain_sampling():
 def test_make_rng_passes_a_generator_through():
     g = make_rng(7)
     assert make_rng(g) is g
+
+
+def test_make_rng_accepts_its_documented_seeds():
+    draw = make_rng(7).random()
+    assert make_rng(np.int64(7)).random() == draw
+    assert make_rng(np.random.SeedSequence(7)).random() == draw
+    assert make_rng((7, 1)).random() != draw
+
+
+@pytest.mark.parametrize("seed", [-1, (1, -2), 1.5], ids=["negative", "negative-in-tuple", "float"])
+def test_a_bad_seed_is_a_parameter_error_naming_it(seed):
+    named = rf"seed must be an integer >= 0 or a tuple of them \(got {re.escape(repr(seed))}\)"
+    with pytest.raises(ParameterError, match=named):
+        make_rng(seed)
+    with pytest.raises(ParameterError, match=named):
+        generate_grouped(Normal(), 10, 5, seed=seed)
 
 
 def test_same_seed_bit_reproducible():
@@ -426,6 +474,18 @@ def test_load_large_file_matches_python_float(tmp_path):
     got = load_sample(p, 5.0).observations
     np.testing.assert_array_equal(got, expected)
     np.testing.assert_array_equal(got, y)
+
+
+def test_load_passes_a_too_long_last_line_to_the_next_reader(tmp_path):
+    # a 20-digit last line with no line feed is refused by the block reader
+    # as soon as it is seen, and read by the next reader
+    p = tmp_path / "y.csv"
+    p.write_text("1.5\n-0.12345678901234567890")
+    with open(p, "rb") as fh:
+        assert samples._read_decimals(fh) is None
+    np.testing.assert_array_equal(
+        load_sample(p, 2.0).observations, [1.5, float("-0.12345678901234567890")]
+    )
 
 
 def _gumbel_repr_column(path, header=b""):
