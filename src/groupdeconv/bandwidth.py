@@ -256,6 +256,7 @@ def diagnostic_threshold_u(law: TestLaw, group_size: float, level: float) -> flo
     |phi_X|; LevelNotReached signals that the level is not met by
     DIAGNOSTIC_U_MAX.
     """
+    check_group_size(group_size)
     if not (level > 0):
         raise ParameterError(f"the diagnostic level must be > 0 (got {level:g})")
     if level >= 1.0:

@@ -236,7 +236,7 @@ def run_grid(grid: ScenarioGrid) -> RiskReport:
     all fail become NaN rows rather than silent omissions.  No process
     pool, nor the multiprocessing stack behind it, is imported unless
     GROUPDECONV_THREADS asks for more than one worker and there is more
-    than one task (and CPU) to give them.
+    than one task (and CPU that this process may use) to give them.
     """
     cells, reps = grid.cells, range(grid.replications)
     tasks = [
@@ -244,8 +244,10 @@ def run_grid(grid: ScenarioGrid) -> RiskReport:
         for cell_idx in range(len(cells))
         for start in range(0, len(reps), BLOCK_SIZE)
     ]
-    # more processes than tasks or CPUs would only wait
-    n_workers = min(resolve_workers(), len(tasks), os.cpu_count() or 1)
+    # more processes than tasks, or than the CPUs this process may run on,
+    # would only wait; os.cpu_count counts every CPU of the host
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n_workers = min(resolve_workers(), len(tasks), cpus)
     if n_workers == 1:
         blocks = map(_run_cell_block, tasks)
     else:

@@ -115,6 +115,12 @@ class TestLaw:
     variance) must be > 0.  They set a class attribute ``name`` and
     expose ``mean`` and ``variance`` (exact moments), ``pdf``, ``cf`` and its
     derivative ``cf_prime``, and ``sample(rng, size)``.
+
+    Gumbel and Laplace invert ``rng.random``'s uniforms by numpy's own
+    formulas, so their draws come within a few units in the last place of
+    ``rng.gumbel`` and ``rng.laplace`` on the same stream, and leave it
+    where those would.  The gain rests on numpy's vectorised float64 log
+    (measured on AVX-512), where those samplers call the scalar one.
     """
 
     def __post_init__(self):
@@ -198,7 +204,14 @@ class Gumbel(TestLaw):
         return self.cf(u) * 1j * (self.location - self.scale * special.digamma(z))
 
     def sample(self, rng, size):
-        return rng.gumbel(self.location, self.scale, size)
+        # numpy's own inversion, location - scale * log(-log(1 - U)), run in place
+        u = _open_uniforms(rng, size)
+        np.subtract(1.0, u, out=u)
+        np.log(u, out=u)
+        np.negative(u, out=u)
+        np.log(u, out=u)
+        np.multiply(u, self.scale, out=u)
+        return np.subtract(self.location, u, out=u)
 
 
 @dataclass(frozen=True)
@@ -273,7 +286,31 @@ class Laplace(TestLaw):
         return self.cf(u) * (1j * self.mean - 2.0 * b2 * u / (1.0 + b2 * u * u))
 
     def sample(self, rng, size):
-        return rng.laplace(self.mean, self.scale, size)
+        # numpy's own inversion: mean - scale * log((2 - U) - U) for U >= 1/2,
+        # mean + scale * log(U + U) below; the smaller argument is the branch's
+        # and the sign of U + U - 1 the side (copysign takes the log's size
+        # only).  2 - 2U would round otherwise.
+        u = _open_uniforms(rng, size)
+        x = np.subtract(2.0, u)
+        np.subtract(x, u, out=x)
+        np.add(u, u, out=u)
+        np.minimum(u, x, out=x)
+        np.log(x, out=x)
+        np.subtract(u, 1.0, out=u)
+        np.copysign(x, u, out=x)
+        np.multiply(x, self.scale, out=x)
+        return np.add(x, self.mean, out=x)
+
+
+def _open_uniforms(rng, size):
+    """``rng.random(size)`` with each 0.0 dropped and the stream drawn on in
+    its place: in order, the uniforms that numpy's Gumbel and Laplace
+    samplers use, so the generator ends where theirs would."""
+    u = rng.random(size)
+    if u.all():
+        return u
+    kept = u[u != 0.0]
+    return np.concatenate((kept, _open_uniforms(rng, u.size - kept.size))).reshape(u.shape)
 
 
 def benchmark_laws() -> dict[str, TestLaw]:

@@ -244,12 +244,13 @@ def test_resolve_workers_env(monkeypatch):
         resolve_workers()
 
 
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "no-affinity"])
 @pytest.mark.parametrize(
     "cpus,block_size,expected",
     [(3, 1, 3), (64, 1, 6), (64, 3, 2), (64, 2, 4), (None, 1, None)],
 )
 def test_run_grid_clamps_workers_to_tasks_and_cpus(
-    monkeypatch, cpus, block_size, expected
+    monkeypatch, cpus, block_size, expected, affinity
 ):
     # records the pool size asked for and runs the tasks in-process: no
     # worker process is started, however many are requested
@@ -270,7 +271,15 @@ def test_run_grid_clamps_workers_to_tasks_and_cpus(
 
     # run_grid imports the pool when it starts one, so it reads this attribute then
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    if affinity:
+        # the CPUs this process may use count; the host has 128
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 128)
+        mask = set(range(cpus or 1))
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: mask, raising=False)
+    else:
+        # where the OS has no affinity mask, the host's count is the cap
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(experiments, "BLOCK_SIZE", block_size)
     monkeypatch.setenv("GROUPDECONV_THREADS", str(10**6))
     g = tiny_grid()  # 2 cells x 3 replications

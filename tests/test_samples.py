@@ -15,7 +15,12 @@ from scipy import integrate, stats
 import groupdeconv
 from groupdeconv import samples
 from groupdeconv._fourier import BLOCK
-from groupdeconv.bandwidth import cutoff_cap, diagnostic_level, threshold_value
+from groupdeconv.bandwidth import (
+    cutoff_cap,
+    diagnostic_level,
+    diagnostic_threshold_u,
+    threshold_value,
+)
 from groupdeconv.charfn import CfEvaluation, UGrid
 from groupdeconv.errors import DataFormatError, ParameterError
 from groupdeconv.samples import (
@@ -68,6 +73,7 @@ K_ENTRIES = {
     "diagnostic_level": lambda k: diagnostic_level(1000, k),
     "threshold_value": lambda k: threshold_value(1000, k, 1.1),
     "cutoff_cap": lambda k: cutoff_cap(1000, k),
+    "diagnostic_threshold_u": lambda k: diagnostic_threshold_u(Normal(), k, 0.0959),
 }
 
 
@@ -170,12 +176,73 @@ def test_blocked_draw_is_one_draw_bit_for_bit(law, n, k):
     np.testing.assert_array_equal(s.observations, direct)
 
 
-def test_grouped_draw_memory_is_linear_in_n_not_nk():
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.name)
+def test_grouped_draw_memory_is_linear_in_n_not_nk(law):
     # the sums and one temporary of n (the variance check), 1.60 MB measured,
-    # plus a block's draw and its row sums; the (n, K) draw would be 40 MB
+    # plus a block's draw and its row sums (and Laplace's one block-sized
+    # temporary); the (n, K) draw would be 40 MB
     n = 10**5
-    peak = peak_traced_bytes(lambda: generate_grouped(Normal(), n, 50, seed=1))
+    peak = peak_traced_bytes(lambda: generate_grouped(law, n, 50, seed=1))
     assert peak < 2 * 8 * n + 2 * 8 * BLOCK
+
+
+# numpy's own samplers, for the laws whose draws are numpy's inversion re-run
+NUMPY_SAMPLERS = {
+    "gumbel": lambda law, rng, size: rng.gumbel(law.location, law.scale, size),
+    "laplace": lambda law, rng, size: rng.laplace(law.mean, law.scale, size),
+}
+
+
+@pytest.mark.parametrize("shape", [(BLOCK, 1), (BLOCK // 5, 5), (BLOCK // 50, 50)])
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+@pytest.mark.parametrize("name", list(NUMPY_SAMPLERS))
+def test_inverted_draws_are_numpys_to_a_few_ulp(name, seed, shape):
+    law = benchmark_laws()[name]
+    rng, ref = make_rng(seed), make_rng(seed)
+    got = law.sample(rng, shape)
+    want = NUMPY_SAMPLERS[name](law, ref, shape)
+    # each draw is centre - scale * log(...), and only the log's last place
+    # may differ (numpy's vectorised log against libm's), so a unit is one of
+    # the larger of the draw and the centre: near 0 a draw is a difference
+    # of two terms, and its own unit is far below theirs
+    centre = law.location if name == "gumbel" else law.mean
+    unit = np.spacing(np.maximum(np.abs(want), abs(centre)))
+    assert got.shape == shape
+    assert np.all(np.abs(got - want) <= 4 * unit)
+    assert rng.random() == ref.random()  # the stream is where numpy's left it
+
+
+class ScriptedUniforms:
+    """A generator whose ``random`` hands out the given blocks in turn."""
+
+    def __init__(self, *blocks):
+        self.blocks = [np.array(b, dtype=float) for b in blocks]
+        self.asked = []
+
+    def random(self, size):
+        self.asked.append(size)
+        return self.blocks.pop(0).reshape(size)
+
+
+@pytest.mark.parametrize("name", list(NUMPY_SAMPLERS))
+def test_a_zero_uniform_is_dropped_and_drawn_again(name):
+    # numpy redraws a uniform of exactly 0; no real generator gives one on
+    # demand, so a scripted one holds three
+    law = benchmark_laws()[name]
+    rng = ScriptedUniforms([0.1, 0.0, 0.7, 0.0, 0.5, 0.9], [0.0, 0.3], [0.6])
+    got = law.sample(rng, (2, 3))
+    u = np.array([0.1, 0.7, 0.5, 0.9, 0.3, 0.6]).reshape(2, 3)
+    if name == "gumbel":
+        want = law.location - law.scale * np.log(-np.log(1.0 - u))
+    else:
+        want = np.where(
+            u >= 0.5,
+            law.mean - law.scale * np.log((2.0 - u) - u),
+            law.mean + law.scale * np.log(u + u),
+        )
+    np.testing.assert_allclose(got, want, rtol=1e-15)
+    assert rng.asked == [(2, 3), 2, 1]  # one more uniform per zero dropped
+    assert rng.blocks == []
 
 
 def test_generate_names_a_size_it_cannot_hold():
