@@ -18,7 +18,6 @@ from .bandwidth import (
 )
 from .charfn import CfEvaluation, SpreadEcf, UGrid
 from .errors import (
-    CutoffExceedsRange,
     DataFormatError,
     DenominatorTooSmall,
     GroupDeconvError,

@@ -24,7 +24,7 @@ import numpy as np
 from .charfn import SpreadEcf, UGrid, bisect_crossing
 from .errors import LevelNotReached, ParameterError
 from .inversion import DensityEstimate, XGrid, invert, oracle_risks, oracle_table
-from .rootlog import MAX_STEP, distinguished_root, feasible_root, phase_gap, root_grid
+from .rootlog import MAX_STEP, check_cutoff, distinguished_root, feasible_root, phase_gap, root_grid
 from .samples import GroupedSample, TestLaw, check_group_size
 
 __all__ = [
@@ -181,9 +181,9 @@ def estimate(
     """The summand's density on ``xgrid`` from one spread of the sample: the
     distinguished-log K-th root on [0, m], inverted at the cutoff m.
 
-    ``cutoff`` is "adaptive" (the threshold rule at ``eta``), a fixed m > 0,
-    or "oracle": the ``oracle_cutoff`` record against ``law``'s density, as the
-    simulation takes it.  The oracle inverts the scan-grid root it scored, so
+    ``cutoff`` is "adaptive" (the threshold rule at ``eta``), a fixed m that
+    passes ``check_cutoff``, or "oracle": the ``oracle_cutoff`` record against
+    ``law``'s density, as the simulation takes it.  The oracle inverts the scan-grid root it scored, so
     the recorded risk is that of the values returned; the other rules invert a
     root on ``root_grid(m)``.  The adaptive and oracle rules spread the sample
     up to the cap plus MAX_STEP, a fixed m as far as ``root_grid(m)``.
@@ -202,15 +202,7 @@ def estimate(
             record = adaptive_cutoff(ecf, eta)
             m = record.value
         else:
-            try:
-                record, m = None, float(cutoff)
-            except (TypeError, ValueError):
-                raise ParameterError(
-                    "cutoff must be 'adaptive', 'oracle' or a number > 0 "
-                    f"(got {cutoff!r})"
-                ) from None
-            if not (math.isfinite(m) and m > 0):
-                raise ParameterError(f"fixed cutoff must be > 0 (got {m})")
+            record, m = None, check_cutoff(cutoff)
             ecf = SpreadEcf(sample, root_grid(m).u_max)
         grid = root_grid(m)
         root = distinguished_root(ecf.read(grid), m)

@@ -6,8 +6,8 @@ Three subcommands:
 * ``simulate``  - Monte-Carlo risk tables over scenario grids
 * ``diagnose``  - theoretical threshold diagnostics for a named law
 
-Exit codes: 0 success, 2 input/parameter error, 3 numerical failure
-(denominator floor hit), 4 simulate produced no successful cell.
+Exit codes: 0 success, 2 input/parameter error (``ParameterError``, ``OSError``),
+3 numerical failure (any other ``GroupDeconvError``), 4 no successful simulate cell.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from .bandwidth import (
 from .errors import DataFormatError, GroupDeconvError, LevelNotReached, ParameterError
 from .experiments import ScenarioGrid, run_grid
 from .inversion import X_COUNT, X_HALF_WIDTH, XGrid, default_xgrid
+from .rootlog import check_cutoff
 from .samples import law_from_name, load_sample
 
 
@@ -66,15 +67,15 @@ def _count(text: str) -> int:
 
 
 def _parse_cutoff_flag(text: str):
-    """--cutoff as ``estimate``'s cutoff: a rule name or the fixed m."""
+    """--cutoff as ``estimate``'s cutoff: a rule name or a fixed m that passes ``check_cutoff``."""
     if text == "adaptive" or text == "oracle":
         return text
     if text.startswith("fixed:"):
         try:
-            return _finite_float(text.split(":", 1)[1])
-        except argparse.ArgumentTypeError:
+            return check_cutoff(float(text.split(":", 1)[1]))
+        except ValueError:
             raise ParameterError(
-                f"--cutoff: fixed cutoff must be a finite number (got '{text}')"
+                f"--cutoff: fixed cutoff must be a finite number > 0 (got '{text}')"
             ) from None
     raise ParameterError(
         f"cutoff must be adaptive, oracle, or fixed:<m> (got '{text}')"
@@ -83,9 +84,10 @@ def _parse_cutoff_flag(text: str):
 
 def cmd_estimate(args) -> int:
     cutoff = _parse_cutoff_flag(args.cutoff)
-    if cutoff == "oracle" and args.law is None:
-        raise ParameterError("--cutoff oracle requires --law")
     law = law_from_name(args.law) if args.law is not None else None
+    if (cutoff == "oracle") != (law is not None):
+        needs = "--cutoff oracle requires --law" if law is None else "--law is read only by --cutoff oracle"
+        raise ParameterError(f"{needs} (got --cutoff {args.cutoff})")
     sample = load_sample(args.input, args.group_size)
 
     if args.x_min is not None or args.x_max is not None:
@@ -277,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--group-size", type=_finite_float, required=True, help="K (or real >= 1)")
     est.add_argument("--eta", type=_finite_float, default=DEFAULT_ETA, help="adaptive threshold constant (> 1)")
     est.add_argument("--cutoff", default="adaptive", help="adaptive | oracle | fixed:<m>")
-    est.add_argument("--law", default=None, help="law name (required for --cutoff oracle)")
+    est.add_argument("--law", default=None, help="law name (with, and only with, --cutoff oracle)")
     est.add_argument("--x-min", type=_finite_float, default=None)
     est.add_argument("--x-max", type=_finite_float, default=None)
     est.add_argument("--x-count", type=int, default=X_COUNT)
@@ -335,12 +337,9 @@ def main(argv=None) -> int:
         if not (out.name and out.parent.is_dir()):
             raise ParameterError(f"--out must name a file in an existing directory (got '{args.out}')")
         return args.func(args)
-    except (ParameterError, DataFormatError, OSError) as exc:
+    except (GroupDeconvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GroupDeconvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (ParameterError, OSError)) else 3
 
 
 if __name__ == "__main__":

@@ -3,14 +3,15 @@ from __future__ import annotations
 
 
 class GroupDeconvError(Exception):
-    """Base class for groupdeconv-specific failures."""
+    """Base class for groupdeconv-specific failures; the CLI exits 3 on any
+    that is not a ParameterError."""
 
 
 class ParameterError(GroupDeconvError, ValueError):
-    """A parameter violates a documented precondition."""
+    """A parameter or input violates a documented precondition (CLI exit 2)."""
 
 
-class DataFormatError(GroupDeconvError, ValueError):
+class DataFormatError(ParameterError):
     """An input file could not be parsed; carries the offending location."""
 
     def __init__(self, message, line=None):
@@ -36,10 +37,6 @@ class DenominatorTooSmall(GroupDeconvError, RuntimeError):
         self.u = u
         self.value = value
         self.floor = floor
-
-
-class CutoffExceedsRange(GroupDeconvError, ValueError):
-    """Requested spectral cutoff lies beyond the evaluated frequency range."""
 
 
 class LevelNotReached(GroupDeconvError, RuntimeError):

@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._fourier import chirp_z
 from .charfn import GRID_SLACK, UGrid
-from .errors import CutoffExceedsRange, ParameterError
+from .errors import ParameterError
 from .rootlog import ROOT_MODES, RootEstimate
 from .samples import GroupedSample
 
@@ -183,11 +183,9 @@ def _cutoff_index(root: RootEstimate, ms):
     bad = np.flatnonzero(~((flat > 0) & (flat <= limit)))
     if bad.size:
         m = flat[bad[0]].item()
-        if not (m > 0):
-            raise ParameterError(f"cutoff m must be > 0 (got {m})")
-        raise CutoffExceedsRange(
-            f"cutoff m={m:.6g} exceeds the root estimate's range "
-            f"[0, {root.u_limit:.6g}]"
+        raise ParameterError(
+            f"cutoff m={m:.6g} exceeds the root estimate's range [0, {root.u_limit:.6g}]"
+            if m > 0 else f"cutoff m must be > 0 (got {m})"
         )
     return root.grid.index_of(ms)
 

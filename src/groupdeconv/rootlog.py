@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "MAX_STEP",
     "ROOT_MODES",
     "RootEstimate",
+    "check_cutoff",
     "default_step",
     "root_grid",
     "denominator_floor",
@@ -62,6 +64,14 @@ def default_step(u_range: float) -> float:
     return min(MAX_STEP, u_range / 4096.0)
 
 
+def check_cutoff(m) -> float:
+    """The one rule on a cutoff m: a real number (not a bool or a string),
+    finite and > 0, returned as a float."""
+    if isinstance(m, Real) and not isinstance(m, bool) and 0 < m <= sys.float_info.max:
+        return float(m)
+    raise ParameterError(f"cutoff must be a finite number > 0 (got {m!r})")
+
+
 def root_grid(m: float) -> UGrid:
     """The grid a root for cutoff m is read on: step default_step(m), to m + step.
 
@@ -70,6 +80,7 @@ def root_grid(m: float) -> UGrid:
     not a normal double is rejected, and so is one whose grid holds more
     than ROOT_MODES positive modes.
     """
+    m = check_cutoff(m)
     step = default_step(m)
     reach = m + step
     if not reach * reach >= sys.float_info.min:

@@ -397,7 +397,8 @@ def test_estimate_oracle_without_law_names_it():
         estimate(s, default_xgrid(s), "oracle")
 
 
-@pytest.mark.parametrize("cutoff", ["bogus", None, 0.0])
+# True, "1_0" and " 2 " are not cutoffs, though float() reads them as 1, 10 and 2
+@pytest.mark.parametrize("cutoff", ["bogus", None, 0.0, True, "1_0", " 2 "])
 def test_estimate_rejects_an_unknown_cutoff(cutoff):
     s = generate_grouped(Normal(), 500, 5, seed=2)
     with pytest.raises(ParameterError, match="cutoff must be"):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupdeconv import cli, default_xgrid, estimate
+from groupdeconv import cli, default_xgrid, errors, estimate
 from groupdeconv.cli import main
 from groupdeconv.experiments import RiskReport, ScenarioGrid
 from groupdeconv.inversion import X_HALF_WIDTH, XGrid, l2_distance
@@ -177,7 +177,7 @@ def test_default_xgrid_is_the_grid_its_policy_names(tmp_path, normal_sum_file):
 
 
 def test_estimate_invalid_cutoff_flag(tmp_path, normal_sum_file, capsys):
-    # "zero" is refused as the flag is parsed, -1 by the estimator
+    # both are refused as the flag is parsed
     for cutoff in ("fixed:zero", "fixed:-1"):
         code = run_cli(
             ["estimate", "--input", normal_sum_file, "--group-size", 5,
@@ -185,6 +185,25 @@ def test_estimate_invalid_cutoff_flag(tmp_path, normal_sum_file, capsys):
         )
         assert code == 2
         assert "fixed cutoff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--cutoff", "fixed:-1"], ["--cutoff", "fixed:0"], ["--law", "normal"],
+     ["--cutoff", "fixed:1.5", "--law", "normal"]],
+)
+def test_estimate_refuses_its_flags_before_reading_the_data(tmp_path, normal_sum_file, capsys, monkeypatch, flags):
+    # a cutoff check_cutoff refuses, and a --law with a rule that does not
+    # read it, each exit 2 before load_sample
+    def unread(*args):
+        raise AssertionError("the data was read")
+
+    monkeypatch.setattr(cli, "load_sample", unread)
+    code = run_cli(["estimate", "--input", normal_sum_file, "--group-size", 5, *flags, "--out", tmp_path / "e"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert ("fixed cutoff must be" in err) != ("--law is read only by --cutoff oracle" in err)
+    assert not (tmp_path / "e.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -782,6 +801,28 @@ def test_estimate_and_simulate_load_no_scipy(tmp_path):
 # exit-code contract: every estimate call ends in 0, 2 or 3, every diagnose
 # and simulate call in 0, 2, 3 or 4, never a traceback
 # ---------------------------------------------------------------------------
+
+_RAISED = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.GroupDeconvError)]
+
+
+@pytest.mark.parametrize("raised", [*_RAISED, OSError], ids=lambda c: c.__name__)
+def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch, raised):
+    # one root per code: a ParameterError (a DataFormatError among them) or
+    # an OSError is exit 2, every other GroupDeconvError exit 3
+    def fail(args):
+        raise raised.__new__(raised, "raised by the subcommand")
+
+    monkeypatch.setattr(cli, "cmd_diagnose", fail)
+    argv = ["diagnose", "--law", "normal", "--n", 100, "--group-size", 5, "--out", tmp_path / "d"]
+    expected = 2 if issubclass(raised, (errors.ParameterError, OSError)) else 3
+    assert run_cli(argv) == expected
+    assert capsys.readouterr().err == "error: raised by the subcommand\n"
+
+
+def test_exit_code_classes_are_the_package_errors():
+    assert {c.__name__ for c in _RAISED} == {
+        "GroupDeconvError", "ParameterError", "DataFormatError", "DenominatorTooSmall", "LevelNotReached"
+    }
 
 
 def _wide(lo, hi, typical=None):

@@ -1,4 +1,4 @@
-"""Every script in demos/ runs to completion."""
+"""Every script in demos/ runs to completion with warnings as errors."""
 import os
 import subprocess
 import sys
@@ -12,10 +12,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(tmp_path, demo):
-    # cwd is a fresh directory: demo 01 writes its CSV there
+    # cwd is a fresh directory: demo 01 writes its CSV there; -W error holds
+    # a demo to the suite's own filterwarnings = error
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,

@@ -1,4 +1,6 @@
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from groupdeconv.errors import DenominatorTooSmall, ParameterError
 from groupdeconv.rootlog import (
     ROOT_MODES,
     _centered_psi,
+    check_cutoff,
     default_step,
     denominator_floor,
     distinguished_root,
@@ -235,6 +238,27 @@ def test_root_grid_refuses_a_cutoff_past_the_budget(m):
     # no grid is built: 1e7 asked for 1e9 modes, 1e300 for more than an
     # array may hold
     with pytest.raises(ParameterError, match=re.escape(f"cutoff m={m:g} is too large") + ".* modes"):
+        root_grid(m)
+
+
+@pytest.mark.parametrize("m, value", [(1, 1.0), (2.5, 2.5), (np.float64(0.3), 0.3), (Fraction(1, 4), 0.25)])
+def test_check_cutoff_returns_a_real_cutoff_as_a_float(m, value):
+    got = check_cutoff(m)
+    assert type(got) is float and got == value
+
+
+@pytest.mark.parametrize(
+    "m", [True, np.True_, "1_0", " 2 ", None, 1j, 0, -1.0, -0.0, math.nan, math.inf, -math.inf, 10**400]
+)
+def test_check_cutoff_names_what_is_not_a_cutoff(m):
+    with pytest.raises(ParameterError, match=re.escape(f"cutoff must be a finite number > 0 (got {m!r})")):
+        check_cutoff(m)
+
+
+@pytest.mark.parametrize("m", [-1.0, math.nan])
+def test_root_grid_takes_only_a_cutoff(m):
+    # -1.0 was refused for the step it gave the grid, nan as too small
+    with pytest.raises(ParameterError, match=re.escape(f"cutoff must be a finite number > 0 (got {m})")):
         root_grid(m)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -689,6 +689,13 @@ def _decimal_lines(draw):
     header=st.sampled_from(["", "y\n", "\ufeff", "\ufeffy\n"]),
     end=st.sampled_from(["", "\n"]),
 )
+# hypothesis draws on constants of every module imported before it, so each
+# reader outcome is also an explicit example: the block reader takes the
+# file, a 19-digit line leaves it to np.loadtxt, and so does a last line
+# longer than any plain decimal
+@example(lines=["-0", "12.5", "+.25"], header="\ufeffy\n", end="\n")
+@example(lines=["1.5", "1234567890123456789"], header="", end="\n")
+@example(lines=["1", "-1234567890123456789.0"], header="y\n", end="")
 def test_load_of_plain_decimals_is_python_float_bit_for_bit(tmp_path_factory, lines, header, end):
     # 19 or 20 digits take np.loadtxt, 18 or fewer the block reader where
     # there is one; both must read each line, -0 included, as float does
