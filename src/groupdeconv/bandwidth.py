@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 
@@ -76,10 +78,10 @@ class CutoffRecord:
         }
 
 
-def check_eta(eta: float) -> None:
-    """The one rule on the threshold constant: a finite number > 1."""
-    if not (math.isfinite(eta) and eta > 1):
-        raise ParameterError(f"eta must be a finite number > 1 (got {eta})")
+def check_eta(eta) -> None:
+    """The one rule on the threshold constant: a real number, not a bool, finite and > 1."""
+    if not (isinstance(eta, Real) and not isinstance(eta, bool) and 1 < eta <= sys.float_info.max):
+        raise ParameterError(f"eta must be a finite number > 1 (got {eta!r})")
 
 
 def threshold_value(n: int, group_size: float, eta: float) -> float:

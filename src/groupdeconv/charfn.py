@@ -107,7 +107,7 @@ class CfEvaluation:
             phi_centered=np.asarray(cf(u), dtype=complex),
             dphi_centered=np.asarray(cf_prime(u), dtype=complex),
             n=None,
-            group_size=float(group_size),
+            group_size=group_size,
         )
 
 

@@ -61,6 +61,18 @@ def _count(text: str) -> int:
     return value
 
 
+def _write(out: str, texts: dict) -> str:
+    """The package's one file write: each text, in the order given, to
+    ``<out><suffix>`` (the whole prefix kept), truncated in place with "\n"
+    line ends.  Returns the paths written, for the command's summary line."""
+    out = Path(out)
+    paths = [out.with_name(out.name + suffix) for suffix in texts]
+    for path, text in zip(paths, texts.values()):
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    return ", ".join(map(str, paths))
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -110,12 +122,10 @@ def cmd_estimate(args) -> int:
         cutoff_rule=rule | {"defaults": defaults},
         provenance=est.provenance | {"source": str(args.input)},
     )
-    out = Path(args.out)
-    est.to_csv(out.with_suffix(".csv"))
-    est.to_json(out.with_suffix(".json"))
+    paths = _write(args.out, {".csv": est.to_csv(), ".json": est.to_json()})
     print(
         f"estimate: n={sample.n} K={sample.group_size:g} cutoff={est.cutoff_m:.6g} "
-        f"({est.cutoff_rule['rule']}) -> {out.with_suffix('.csv')}, {out.with_suffix('.json')}"
+        f"({est.cutoff_rule['rule']}) -> {paths}"
     )
     return 0
 
@@ -189,14 +199,9 @@ def cmd_simulate(args) -> int:
         grid = replace(grid, replications=min(grid.replications, 50))
     report = run_grid(grid)
 
-    out = Path(args.out)
-    report.to_csv(out.with_suffix(".csv"))
-    out.with_suffix(".txt").write_text(report.to_text())
+    paths = _write(args.out, {".csv": report.to_csv(), ".txt": report.to_text()})
     succeeded = sum(1 for row in report.rows if row.replications > 0)
-    print(
-        f"simulate: {len(report.rows)} rows ({succeeded} with successes) "
-        f"-> {out.with_suffix('.csv')}, {out.with_suffix('.txt')}"
-    )
+    print(f"simulate: {len(report.rows)} rows ({succeeded} with successes) -> {paths}")
     for failure in report.failures[:5]:
         print(f"warning: {failure}", file=sys.stderr)
     if len(report.failures) > 5:
@@ -243,17 +248,13 @@ def cmd_diagnose(args) -> int:
     abs_phi_x = np.abs(law.cf(us))
     abs_phi = abs_phi_x**k
 
-    out = Path(args.out)
-    with open(out.with_suffix(".csv"), "w", newline="") as fh:
-        fh.write("u,abs_phi_x,abs_phi\n")
-        for u, a, b in zip(us, abs_phi_x, abs_phi):
-            fh.write(f"{u:.10g},{a:.10g},{b:.10g}\n")
-    out.with_suffix(".json").write_text(json.dumps(summary, indent=2) + "\n")
+    profile = "".join(f"{u:.10g},{a:.10g},{b:.10g}\n" for u, a, b in zip(us, abs_phi_x, abs_phi))
+    texts = {".csv": "u,abs_phi_x,abs_phi\n" + profile, ".json": json.dumps(summary, indent=2) + "\n"}
+    paths = _write(args.out, texts)
     shown = "not reached" if u_n is None else f"{u_n:.6g}"
     print(
         f"diagnose: {law.label} n={n} K={k:g}: u_(gamma,eps)={shown}, "
-        f"threshold={t:.6g}, cap={cap:.6g} -> {out.with_suffix('.csv')}, "
-        f"{out.with_suffix('.json')}"
+        f"threshold={t:.6g}, cap={cap:.6g} -> {paths}"
     )
     return 0
 

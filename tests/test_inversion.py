@@ -361,12 +361,10 @@ def test_energy_u_matches_closed_form():
 # ---------------------------------------------------------------------------
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip():
     root = analytic_root(Normal(2.0, 1.0), 2.0, 0.01)
     est = invert(root, 2.0, XGrid(-1.0, 5.0, 32))
-    p = tmp_path / "est.csv"
-    est.to_csv(p)
-    lines = p.read_text().splitlines()
+    lines = est.to_csv().splitlines()
     assert lines[0] == "x,fhat"
     assert len(lines) == 33
     x0, f0 = lines[1].split(",")
@@ -374,12 +372,10 @@ def test_csv_round_trip(tmp_path):
     assert abs(float(f0) - est.values[0]) < 1e-12
 
 
-def test_json_round_trip(tmp_path):
+def test_json_round_trip():
     root = analytic_root(Normal(2.0, 1.0), 2.0, 0.01)
     est = invert(root, 1.5, XGrid(-1.0, 5.0, 32))
-    p = tmp_path / "est.json"
-    est.to_json(p)
-    back = json.loads(p.read_text())
+    back = json.loads(est.to_json())
     np.testing.assert_allclose(back["values"], est.values, atol=1e-15)
     assert back["cutoff"]["value"] == est.cutoff_m
     assert XGrid(**back["xgrid"]) == est.xgrid
